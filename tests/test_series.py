@@ -329,3 +329,107 @@ class TestNonvanishing:
     def test_unsupported(self):
         with pytest.raises(UnsupportedCaseError):
             nonvanishing_limit(make_group([15]), 12, 100)
+
+
+def _digits(points):
+    return [(p, mp.nstr(v, 30)) for p, v in points]
+
+
+class TestPinnedDigits:
+    """Printed digits at 50-digit precision, fixed so that a rewrite of the
+    prime loops cannot move any of them."""
+
+    def test_c3_residual_product(self):
+        state = euler_product_truncated(
+            make_group([3]), Fraction(3, 4), 2000, "residual", dps=50
+        )
+        assert mp.nstr(state.value, 30) == "0.744174289975863758886889600774"
+        assert _digits(state.checkpoints) == [
+            (23, "0.744426934933551653335508800287"),
+            (211, "0.744176843787475715697492682231"),
+            (2000, "0.744174289975863758886889600774"),
+        ]
+        assert _digits(state.factor_log) == [
+            (2, "0.875"),
+            (3, "0.867368422141985837397959078586"),
+            (5, "0.992"),
+            (7, "0.991568483526038506644910051259"),
+            (11, "0.999248685199098422238918106687"),
+            (13, "0.998653923188831806628690113852"),
+            (17, "0.999796458375737838387950335844"),
+            (19, "0.999566139236713508364206953746"),
+            (23, "0.999917810470946001479411522972"),
+            (29, "0.999958997908893353561031612612"),
+            (31, "0.999899687403539338628792877544"),
+            (37, "0.999940948935536813920777235129"),
+            (41, "0.99998549063420437892659711844"),
+            (43, "0.999962356685030999233161762609"),
+            (47, "0.999990368222840796355335522957"),
+            (53, "0.99999328304573574158533554545"),
+            (59, "0.999995130953018565676140209077"),
+            (61, "0.999986801529337211498524889063"),
+            (67, "0.999990037494136862788449678025"),
+            (71, "0.999997206009315164943240079238"),
+            (73, "0.999992296497599777122150906702"),
+            (79, "0.999993921065724617753805980916"),
+            (83, "0.999998251096999407121882799014"),
+            (89, "0.999998581497909837170145070209"),
+            (97, "0.999996715245764088231144774527"),
+        ]
+
+    def test_c4_full_product(self):
+        state = euler_product_truncated(make_group([4]), Fraction(3, 2), 30, dps=50)
+        assert mp.nstr(state.value, 30) == "1.07224584292580226546549661547"
+        assert _digits(state.checkpoints) == [
+            (2, "1.01957440837287515548854985622"),
+            (3, "1.05733642349779645754368133238"),
+            (30, "1.07224584292580226546549661547"),
+        ]
+        assert _digits(state.factor_log) == [
+            (2, "1.01957440837287515548854985622"),
+            (3, "1.03703703703703703703703703704"),
+            (5, "1.00943108350559986540570187115"),
+            (7, "1.00291545189504373177842565598"),
+            (11, "1.00075131480090157776108189331"),
+            (13, "1.00047458773138984031098415118"),
+            (17, "1.0002093494001517302947406977"),
+            (19, "1.00014579384749963551538125091"),
+            (23, "1.00008218952905399852058847703"),
+            (29, "1.00004152718746347505973763349"),
+        ]
+
+    def test_klein_sieve(self):
+        value, terms = sieve_to_surjective(make_group([2, 2]), Fraction(3, 2), 500, dps=50)
+        assert mp.nstr(value, 30) == "0.0109006925122641950391069719988"
+        c2 = ("H(order=2;orders=1+2)", -1, "1.07079292857390929723319735056")
+        assert [(label, mu, mp.nstr(v, 30)) for label, mu, v in terms] == [
+            ("H(order=1;orders=1)", 2, "1.0"),
+            c2,
+            c2,
+            c2,
+            ("H(order=4;orders=1+2)", 1, "1.22327947823399208673869902369"),
+        ]
+
+    def test_c2_residue(self):
+        est = residue_main_term(make_group([2]), 10**4, dps=50)
+        assert _digits(est.checkpoints) == [
+            (100, "0.608974022064020188426251301322"),
+            (1000, "0.60800371009990369352745741945"),
+            (10000, "0.607933069114055130183804996711"),
+        ]
+
+    def test_nonvanishing_c6_case_iii(self):
+        rep = nonvanishing_limit(make_group([6]), 4, 3000, dps=50)
+        assert _digits(rep.checkpoints) == [
+            (30, "-3.64301298417476430714572629504"),
+            (300, "-7.52291888554893349627109099392"),
+            (3000, "-11.7556357496145881510576465781"),
+        ]
+
+    def test_nonvanishing_c4(self):
+        rep = nonvanishing_limit(make_group([4]), 3, 3000, dps=50)
+        assert _digits(rep.checkpoints) == [
+            (30, "0.3788440558490390740574285379"),
+            (300, "0.696795693738653184880627445132"),
+            (3000, "1.05273040969667469897700815512"),
+        ]
