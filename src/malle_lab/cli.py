@@ -44,15 +44,6 @@ def _model_from(name: str, deg_k: int) -> SubconvexityModel:
     return SubconvexityModel(name, deg_k)
 
 
-def _action_from(spec: str, G):
-    if spec == "full":
-        return GaloisActionSpec.cyclotomic(G)
-    if spec.startswith("units="):
-        units = [int(tok) for tok in spec[len("units="):].split(",") if tok]
-        return GaloisActionSpec.from_units(G, units)
-    raise UsageError(f"malformed action spec {spec!r}")
-
-
 def _parse_fraction(text: str) -> Fraction:
     if "/" in text:
         num, den = text.split("/", 1)
@@ -319,15 +310,12 @@ def run(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args, argv, started)
-    except (UsageError, ValueError) as exc:
-        if isinstance(exc, (GroupTooLargeError, BudgetExceededError)):
-            print(f"budget error: {exc}", file=sys.stderr)
-            return 3
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (GroupTooLargeError, BudgetExceededError, MemoryError) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -11,12 +11,15 @@ hom by hom, with discriminant exponents from conductor-discriminant.
 Factoring one cyclotomic zeta per cyclotomic orbit leaves an Euler product
 that converges past the abscissa; that decomposition drives the truncated
 evaluations, the leading-term residue estimate, the subgroup-lattice sieve
-to surjections, and the sign checks for lower order terms.
+to surjections, and the sign checks for lower order terms.  All four run
+their Euler products through one prime loop, ``_euler_products``: one row
+per subgroup restricting inertia, each row with its own zeta corrections.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,11 +47,9 @@ from .invariants import (
 )
 from .lvalues import dedekind_zeta_residue, dedekind_zeta_value, riemann_zeta_value
 from .numerics import (
-    divisors,
     euler_phi,
     factorize,
     is_prime,
-    moebius_int,
     multiplicative_order,
     precision_digits,
     primes_up_to,
@@ -78,45 +79,23 @@ class LocalFactor:
     def value(self, s: Fraction):
         """Evaluate at real rational s in the current mp context."""
         s = Fraction(s)
-        u = mp.power(mp.root(self.prime, s.denominator), -s.numerator)
+        return self.value_at(mp.power(mp.root(self.prime, s.denominator), -s.numerator))
+
+    def value_at(self, u):
+        """Evaluate 1 + sum c u^a with u = p^(-s) precomputed."""
         total = mp.mpf(1)
         for c, a in self.terms:
             total += c * u**a
         return total
 
 
-@lru_cache(maxsize=None)
-def _order_counts(G: AbelianGroup) -> tuple[tuple[int, int], ...]:
-    """(order, count of elements of that exact order) for e dividing exp(G)."""
-    counts = []
-    for e in divisors(G.exponent):
-        total = 0
-        for f in divisors(e):
-            prod = 1
-            for d in G.invariant_factors:
-                prod *= math.gcd(d, f)
-            total += moebius_int(e // f) * prod
-        if total:
-            counts.append((e, total))
-    return tuple(counts)
-
-
 def _index_of_order(G: AbelianGroup, e: int) -> int:
     return G.order - G.order // e
 
 
-def _tame_terms(G: AbelianGroup, p: int, orders: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    by_exp: dict[int, int] = {}
-    for e, count in orders:
-        if e > 1 and (p - 1) % e == 0:
-            ind = _index_of_order(G, e)
-            by_exp[ind] = by_exp.get(ind, 0) + count
-    return tuple(sorted((c, a) for a, c in by_exp.items()))
-
-
-def _wild_pairs(G: AbelianGroup, p: int, allowed: frozenset[Element] | None):
+def _wild_pairs(G: AbelianGroup, p: int, allowed: frozenset[Element]):
     """Inertia homomorphisms at p | |G| as (tame part, wild part) pairs."""
-    elems = G.elements() if allowed is None else tuple(sorted(allowed))
+    elems = tuple(sorted(allowed))
     if p == 2:
         tame = [g for g in elems if G.scale(2, g) == G.identity]
     else:
@@ -153,7 +132,7 @@ def _wild_disc_exponent(G: AbelianGroup, p: int, t: Element, w: Element) -> int:
 
 
 def _wild_terms(
-    G: AbelianGroup, p: int, allowed: frozenset[Element] | None
+    G: AbelianGroup, p: int, allowed: frozenset[Element]
 ) -> tuple[tuple[int, int], ...]:
     tame, wild = _wild_pairs(G, p, allowed)
     by_exp: dict[int, int] = {}
@@ -168,11 +147,7 @@ def _wild_terms(
 
 def local_factor(G: AbelianGroup, p: int) -> LocalFactor:
     """Local Euler factor of the hom-counting series at p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if G.order % p == 0:
-        return LocalFactor(p, _wild_terms(G, p, None))
-    return LocalFactor(p, _tame_terms(G, p, _order_counts(G)))
+    return restricted_local_factor(G, full_subgroup(G), p)
 
 
 @lru_cache(maxsize=None)
@@ -187,14 +162,18 @@ def restricted_local_factor(G: AbelianGroup, H: Subgroup, p: int) -> LocalFactor
     if G.order % p == 0:
         return LocalFactor(p, _wild_terms(G, p, H.elements))
     by_exp: dict[int, int] = {}
-    for g in H.elements:
-        if g == G.identity:
-            continue
-        e = element_order(G, g)
+    for e, count in _element_orders(G, H):
         if (p - 1) % e == 0:
             ind = _index_of_order(G, e)
-            by_exp[ind] = by_exp.get(ind, 0) + 1
+            by_exp[ind] = by_exp.get(ind, 0) + count
     return LocalFactor(p, tuple(sorted((c, a) for a, c in by_exp.items())))
+
+
+@lru_cache(maxsize=None)
+def _element_orders(G: AbelianGroup, H: Subgroup) -> tuple[tuple[int, int], ...]:
+    """(order, number of elements of that order) over the non-identity of H."""
+    counts = Counter(element_order(G, g) for g in H.elements if g != G.identity)
+    return tuple(sorted(counts.items()))
 
 
 # -- zeta factorization --------------------------------------------------------
@@ -275,6 +254,35 @@ def _checkpoint_set(p_max: int) -> list[int]:
     return marks
 
 
+def _euler_products(G: AbelianGroup, s: Fraction, p_max: int, rows, factor_log=None):
+    """The one prime loop: a truncated Euler product per row over p <= p_max.
+
+    A row is (H, corrections).  Its factor at p is the local factor with
+    inertia restricted to H at u = p^(-s), times (1 - u^(ind f_p))^(k g_p)
+    for each correction (m, ind, k), where p has residue degree f_p and g_p
+    primes in Q(zeta_m).  Yields (mark, p, products) at each checkpoint
+    mark, p being the prime that reached the mark or None once the primes
+    ran out; the last products are the whole truncated products.  For a
+    one-row call, factor_log receives the first FACTOR_LOG_LIMIT (p, factor).
+    """
+    prods = [mp.mpf(1)] * len(rows)
+    marks = _checkpoint_set(p_max)
+    for p in primes_up_to(p_max):
+        u = mp.power(mp.root(p, s.denominator), -s.numerator)
+        for i, (H, corrections) in enumerate(rows):
+            factor = restricted_local_factor(G, H, p).value_at(u)
+            for m, ind, k in corrections:
+                f_p, g_p = zeta_local_data(m, p)
+                factor *= (1 - u ** (ind * f_p)) ** (k * g_p)
+            prods[i] *= factor
+        if factor_log is not None and len(factor_log) < FACTOR_LOG_LIMIT:
+            factor_log.append((p, factor))
+        while marks and p >= marks[0]:
+            yield marks.pop(0), p, tuple(prods)
+    for mark in marks:
+        yield mark, None, tuple(prods)
+
+
 def euler_product_truncated(
     G: AbelianGroup,
     s: Fraction | int,
@@ -297,34 +305,18 @@ def euler_product_truncated(
     if mode not in ("full", "residual"):
         raise ValueError(f"unknown mode {mode!r}")
     dps = dps or precision_digits()
-    orders = _order_counts(G)
-    zeta_entries = [(o.element_order, int(o.weight)) for o in orbs]
-    marks = _checkpoint_set(p_max)
-    checkpoints = []
-    factor_log = []
+    corrections = ()
+    if mode == "residual":
+        corrections = tuple((o.element_order, int(o.weight), 1) for o in orbs)
+    rows = [(full_subgroup(G), corrections)]
+    factor_log: list = []
     with mp.workdps(dps + 10):
-        total = mp.mpf(1)
-        for p in primes_up_to(p_max):
-            if G.order % p == 0:
-                lf = local_factor(G, p)
-            else:
-                lf = LocalFactor(p, _tame_terms(G, p, orders))
-            factor = lf.value(s)
-            if mode == "residual":
-                u = mp.power(mp.root(p, s.denominator), -s.numerator)
-                for m_o, ind_o in zeta_entries:
-                    f_p, g_p = zeta_local_data(m_o, p)
-                    factor *= (1 - u ** (ind_o * f_p)) ** g_p
-            total *= factor
-            if len(factor_log) < FACTOR_LOG_LIMIT:
-                factor_log.append((p, factor))
-            while marks and p >= marks[0]:
-                marks.pop(0)
-                checkpoints.append((p, total))
-        if not checkpoints or checkpoints[-1][0] != p_max:
-            checkpoints.append((p_max, total))
+        checkpoints = tuple(
+            (p or p_max, prods[0])
+            for _, p, prods in _euler_products(G, s, p_max, rows, factor_log)
+        )
     return EulerProductState(
-        G, s, p_max, mode, total, tuple(checkpoints), tuple(factor_log)
+        G, s, p_max, mode, checkpoints[-1][1], checkpoints, tuple(factor_log)
     )
 
 
@@ -373,12 +365,9 @@ def _factor_terms(G: AbelianGroup, H: Subgroup, n_max: int) -> dict[int, tuple[t
         return out
     wild = [p for p, _ in factorize(G.order)]
     for p in primes_up_to(n_max):
-        if p in wild:
-            terms = restricted_local_factor(G, H, p).terms
-        elif p**min_ind > n_max:
+        if p not in wild and p**min_ind > n_max:
             continue
-        else:
-            terms = restricted_local_factor(G, H, p).terms
+        terms = restricted_local_factor(G, H, p).terms
         terms = tuple((c, a) for c, a in terms if p**a <= n_max)
         if terms:
             out[p] = terms
@@ -405,13 +394,12 @@ def sieve_to_surjective(
     if s <= 1 / a:
         raise DivergenceError(f"sieve summands diverge at s = {s} <= 1/a")
     dps = dps or precision_digits()
+    subgroups = sieve_terms(G)
     terms_out = []
     with mp.workdps(dps + 10):
+        *_, (_, _, prods) = _euler_products(G, s, p_max, [(H, ()) for H, _ in subgroups])
         total = mp.mpf(0)
-        for H, mu in sieve_terms(G):
-            prod = mp.mpf(1)
-            for p in primes_up_to(p_max):
-                prod *= restricted_local_factor(G, H, p).value(s)
+        for (H, mu), prod in zip(subgroups, prods):
             label = "+".join(str(e) for e in sorted({element_order(G, g) for g in H.elements}))
             terms_out.append((f"H(order={H.order};orders={label})", mu, prod))
             total += mu * prod
@@ -457,9 +445,8 @@ def residue_main_term(
     orbs = _disc_orbits(G)
     a = int(min(o.weight for o in orbs))
     b = sum(1 for o in orbs if o.weight == a)
-    marks = _checkpoint_set(p_max)
     with mp.workdps(dps + 10):
-        rows = []
+        rows, weights = [], []
         for H, mu in sieve_terms(G):
             orbits_in = [o for o in orbs if o.representative in H.elements]
             if sum(1 for o in orbits_in if o.weight == a) < b:
@@ -472,24 +459,13 @@ def residue_main_term(
                     zeta_part *= dedekind_zeta_value(
                         o.element_order, Fraction(int(o.weight), a), dps
                     )
-            rows.append([H, mu, zeta_part, mp.mpf(1), orbits_in])
-        partials: dict[int, object] = {}
-        pending = list(marks)
-        for p in primes_up_to(p_max):
-            u = 1 / mp.root(p, a)
-            for row in rows:
-                H, _, _, _, orbits_in = row
-                factor = _value_from_u(restricted_local_factor(G, H, p).terms, u)
-                for o in orbits_in:
-                    f_p, g_p = zeta_local_data(o.element_order, p)
-                    factor *= (1 - u ** (int(o.weight) * f_p)) ** g_p
-                row[3] *= factor
-            while pending and p >= pending[0]:
-                mark = pending.pop(0)
-                partials[mark] = mp.fsum(mu * z * prod for _, mu, z, prod, _ in rows)
-        for mark in pending:
-            partials[mark] = mp.fsum(mu * z * prod for _, mu, z, prod, _ in rows)
-        residue = partials[marks[-1]]
+            rows.append((H, tuple((o.element_order, int(o.weight), 1) for o in orbits_in)))
+            weights.append((mu, zeta_part))
+        partials = {
+            mark: mp.fsum(mu * z * prod for (mu, z), prod in zip(weights, prods))
+            for mark, _, prods in _euler_products(G, Fraction(1, a), p_max, rows)
+        }
+        residue = partials[max(partials)]
         lead = residue * a / math.factorial(b - 1)
         checkpoints = tuple(
             (m, v * a / math.factorial(b - 1)) for m, v in sorted(partials.items())
@@ -532,28 +508,6 @@ class NonvanishingReport:
         }
 
 
-def _value_from_u(terms: tuple[tuple[int, int], ...], u):
-    """Evaluate 1 + sum c u^a with u = p^(-s) precomputed."""
-    total = mp.mpf(1)
-    for c, a in terms:
-        total += c * u**a
-    return total
-
-
-def _corr_factor(entries, u, p, lower: Fraction, upper: Fraction):
-    """Product over orbits with lower < ind < upper of the inverse zeta factor.
-
-    entries carry (m, ind, multiplicity b_ind); u = p^(-1/d), so each factor
-    is (1 - u^(ind * f_p))^(b * g_p).
-    """
-    factor = mp.mpf(1)
-    for m_o, ind_o, mult in entries:
-        if lower < ind_o < upper:
-            f_p, g_p = zeta_local_data(m_o, p)
-            factor *= (1 - u ** (ind_o * f_p)) ** (mult * g_p)
-    return factor
-
-
 def nonvanishing_limit(
     G: AbelianGroup, d: int, p_max: int, dps: int | None = None
 ) -> NonvanishingReport:
@@ -576,29 +530,16 @@ def nonvanishing_limit(
         (o.element_order, int(o.weight), b_d(G, action, wt, o.weight))
         for o in orbs
     )
-    marks = _checkpoint_set(p_max)
-    primes = primes_up_to(p_max)
 
     def sieve_value(subgroups, corr_lower, corr_upper):
-        prods = [mp.mpf(1) for _ in subgroups]
-        partial: dict[int, object] = {}
-        pending = list(marks)
-        for p in primes:
-            u = 1 / mp.root(p, d)
-            corr = _corr_factor(entries, u, p, corr_lower, corr_upper)
-            for i, (H, _) in enumerate(subgroups):
-                prods[i] *= corr * _value_from_u(
-                    restricted_local_factor(G, H, p).terms, u
-                )
-            while pending and p >= pending[0]:
-                partial[pending.pop(0)] = mp.fsum(
-                    mu * prods[i] for i, (_, mu) in enumerate(subgroups)
-                )
-        for mark in pending:
-            partial[mark] = mp.fsum(
-                mu * prods[i] for i, (_, mu) in enumerate(subgroups)
-            )
-        return partial
+        """Sieve sum with the zeta factors of corr_lower < ind < corr_upper
+        divided out; entries carry (m, ind, multiplicity b_ind)."""
+        corrections = tuple(e for e in entries if corr_lower < e[1] < corr_upper)
+        rows = [(H, corrections) for H, _ in subgroups]
+        return {
+            mark: mp.fsum(mu * prod for (_, mu), prod in zip(subgroups, prods))
+            for mark, _, prods in _euler_products(G, Fraction(1, d), p_max, rows)
+        }
 
     with mp.workdps(dps + 10):
         if case in ("case_i", "case_ii"):
@@ -621,6 +562,6 @@ def nonvanishing_limit(
             s_minus = sieve_value(without_two, Fraction(a), Fraction(d))
             zeta_at = riemann_zeta_value(Fraction(a, d), dps)
             checkpoints = tuple(
-                (m, zeta_at * s_plus[m] + s_minus[m]) for m in sorted(marks)
+                (m, zeta_at * s_plus[m] + s_minus[m]) for m in sorted(s_plus)
             )
     return NonvanishingReport(G, d, case, p_max, checkpoints)

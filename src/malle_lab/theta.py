@@ -254,25 +254,6 @@ def _divisors_from_spf(n: int, spf: list[int]) -> list[int]:
     return divs
 
 
-def cyclic_nonvanishing_case(n: int, d: int) -> str:
-    """Divisor-arithmetic version of the case classification for C_n."""
-    divs = [e for e in divisors(n) if e > 1]
-    inds = [n - n // e for e in divs]
-    if d not in inds:
-        raise ValueError(f"{d} is not in the index spectrum of C_{n}")
-    if d == inds[0]:
-        return "case_i"
-    nrad = n // radical(n)
-    small = [e for e, ind in zip(divs, inds) if ind < d]
-    if all(nrad % e == 0 for e in small):
-        return "case_ii"
-    if n % 4 == 2 and all(nrad % e == 0 or e == 2 for e in small):
-        return "case_iii"
-    if d == n - 1:
-        return "case_iv"
-    return "none"
-
-
 def _model_slope(model: SubconvexityModel) -> tuple[int, int]:
     """Per-element coefficient 2 mu / degree as a fraction (cn, cd)."""
     if model.kind == "soehne":

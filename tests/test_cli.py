@@ -4,7 +4,9 @@ import json
 import os
 from contextlib import redirect_stdout
 
+from malle_lab import cli
 from malle_lab.cli import run
+from malle_lab.oracle import BudgetExceededError
 
 
 def invoke(argv):
@@ -36,6 +38,13 @@ class TestExitCodes:
     def test_budget_error(self):
         # coefficient bound beyond the configured cap
         assert invoke(["coeffs", "C2", "--max", "10000000"])[0] == 3
+
+    def test_oracle_budget_error(self, monkeypatch):
+        def over_budget(*args, **kwargs):
+            raise BudgetExceededError("node budget exhausted")
+
+        monkeypatch.setattr(cli, "count_surjections", over_budget)
+        assert invoke(["count", "C2", "--X", "10"])[0] == 3
 
 
 class TestManifest:
