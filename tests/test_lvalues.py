@@ -80,3 +80,55 @@ class TestValues:
 
         with pytest.raises(ValueError):
             dedekind_zeta_value(3, 1)
+
+
+PINNED_RESIDUES = {
+    3: "0.604599788078072616864692752547385244094688749",
+    4: "0.78539816339744830961566084581987572104929235",
+    5: "0.339837278240523535464278781158977485328977233",
+    8: "0.543675539590749790078617654509805679226057059",
+    9: "0.333684590840779973834063171346130449569065879",
+    12: "0.361051484876071024786013046427925726637295512",
+    15: "0.215278802716395487537116637107846145419116982",
+    16: "0.464556703293382731821113114096403761220744162",
+    24: "0.299995037071772721407712749239222613228510965",
+}
+
+PINNED_VALUES = {
+    Fraction(3, 4): {
+        3: "-1.87838385000197407605869865448958634022762957",
+        4: "-2.51938986969828802534084960122617173011112508",
+        5: "-0.831537917311963924594517927286058780028688096",
+        8: "-1.43538429880861136629947469366537968683495783",
+        9: "-0.734422547658796188626470927150919559094932796",
+        12: "-0.896161626243250437897713060556482550038370748",
+        15: "-0.388923462647492030882419131634302580363852826",
+        16: "-1.05244197487783063087603096268891618323421945",
+        24: "-0.615193004304460627541274709633631296826895339",
+    },
+    Fraction(2): {
+        3: "1.2851909554841494029175117986995746039691784",
+        4: "1.5067030099229850308865650481820713959854477",
+        5: "1.09234966173096978239654781143520451580882371",
+        8: "1.39947005050545500486882186519065771260783116",
+        9: "1.15284805338408289926478156430781792669909196",
+        12: "1.11798168534773851789797150384691702252290949",
+        15: "1.022042091756555721588932099417761270238202",
+        16: "1.37695303865795909486402395360596041202741323",
+        24: "1.1064735804239265618055667646327180745352105",
+    },
+}
+
+
+class TestPinnedDigits:
+    """Printed digits at 50-digit precision, fixed so that a rewrite of the
+    character enumeration cannot move any of them."""
+
+    def test_residues(self):
+        got = {m: mp.nstr(dedekind_zeta_residue(m, 50), 45) for m in PINNED_RESIDUES}
+        assert got == PINNED_RESIDUES
+
+    def test_values(self):
+        for x, pinned in PINNED_VALUES.items():
+            got = {m: mp.nstr(dedekind_zeta_value(m, x, 50), 45) for m in pinned}
+            assert got == pinned, x
