@@ -1,9 +1,10 @@
 """Finite abelian groups in invariant-factor form.
 
 Elements are residue tuples, subgroups are explicit element sets, and the
-subgroup poset carries a Moebius function used by the surjection sieve.
-Groups are fully enumerated below a configurable cap; large groups beyond
-the cap are only touched through divisor arithmetic elsewhere.
+subgroup poset carries a Moebius function (P. Hall's closed form) used by
+the surjection sieve.  Groups are fully enumerated below a configurable cap;
+large groups beyond the cap are only touched through divisor arithmetic
+elsewhere.
 """
 
 from __future__ import annotations
@@ -205,42 +206,37 @@ def frattini(G: AbelianGroup) -> Subgroup:
     return span(G, gens)
 
 
-@lru_cache(maxsize=None)
-def _moebius_table(G: AbelianGroup) -> dict[frozenset, int]:
-    """mu(H, G) for every subgroup H, by downward recursion from the top."""
-    lattice = subgroup_lattice(G)
-    by_size = sorted(lattice, key=lambda H: -H.order)
-    table: dict[frozenset, int] = {}
-    phi = frattini(G).elements
-    for H in by_size:
-        if H.order == G.order:
-            table[H.elements] = 1
-            continue
-        acc = 0
-        for K in lattice:
-            if K.order > H.order and H.elements < K.elements:
-                acc += table[K.elements]
-        table[H.elements] = -acc
-        # the subgroup-poset Moebius function vanishes below the Frattini subgroup
-        if table[H.elements] != 0:
-            assert phi <= H.elements, "nonzero mu on a subgroup missing Frattini"
-    return table
+def _hall_moebius(index: int) -> int:
+    """mu(H, G) for H containing Frattini(G), from the index [G:H] alone.
+
+    G/H is then elementary abelian, and P. Hall's formula gives the product
+    over p^k || [G:H] of (-1)^k p^(k(k-1)/2).
+    """
+    mu = 1
+    for p, k in factorize(index):
+        mu *= (-1) ** k * p ** (k * (k - 1) // 2)
+    return mu
 
 
 def moebius_subgroup(H: Subgroup, G: AbelianGroup) -> int:
+    """mu(H, G) in the subgroup lattice; zero unless H contains Frattini(G)."""
     if H.group != G:
         raise ValueError("subgroup belongs to a different group")
-    table = _moebius_table(G)
-    if H.elements not in table:
+    if span(G, H.generators).elements != H.elements:
         raise ValueError("not a subgroup of the ambient group")
-    return table[H.elements]
+    if not frattini(G).elements <= H.elements:
+        return 0
+    return _hall_moebius(G.order // H.order)
 
 
 def sieve_terms(G: AbelianGroup) -> tuple[tuple[Subgroup, int], ...]:
     """Subgroups with nonzero Moebius weight, i.e. those containing Frattini."""
-    table = _moebius_table(G)
-    out = [(H, table[H.elements]) for H in subgroup_lattice(G) if table[H.elements]]
-    return tuple(out)
+    phi = frattini(G).elements
+    return tuple(
+        (H, _hall_moebius(G.order // H.order))
+        for H in subgroup_lattice(G)
+        if phi <= H.elements
+    )
 
 
 def subgroup_invariant_factors(H: Subgroup) -> AbelianGroup:

@@ -207,7 +207,6 @@ class OrbitData:
     members: tuple[Element, ...]
 
 
-@lru_cache(maxsize=None)
 def _orbit_partition(action: GaloisActionSpec) -> tuple[frozenset[Element], ...]:
     G = action.group
     remaining = set(G.elements())
@@ -220,6 +219,7 @@ def _orbit_partition(action: GaloisActionSpec) -> tuple[frozenset[Element], ...]
     return tuple(parts)
 
 
+@lru_cache(maxsize=None)
 def orbits(
     G: AbelianGroup, action: GaloisActionSpec, wt: WeightFn
 ) -> tuple[OrbitData, ...]:

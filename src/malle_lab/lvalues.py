@@ -1,9 +1,11 @@
 """Dirichlet L-values and cyclotomic Dedekind zeta values at real points.
 
 The zeta function of the m-th cyclotomic field factors over the characters
-mod m into Dirichlet L-functions, which are evaluated through Hurwitz zeta
-sums (Euler-Maclaurin under the hood), so real points inside the critical
-strip and residues at 1 are both available to high precision.
+mod m into the L-functions of their primitive characters.  The characters
+are the oracle's :class:`~malle_lab.oracle.DirichletCharacter`; each
+L-function is evaluated from the character's value table through Hurwitz
+zeta sums (Euler-Maclaurin under the hood), so real points inside the
+critical strip and residues at 1 are both available to high precision.
 """
 
 from __future__ import annotations
@@ -13,65 +15,16 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .numerics import precision_digits, unit_group_components
-
-AngleTable = tuple[tuple[int, Fraction], ...]
-
-
-@lru_cache(maxsize=None)
-def characters_mod(m: int) -> tuple[AngleTable, ...]:
-    """All characters of (Z/m)^* as tables ((a, angle), ...) over units a.
-
-    Angles are rationals in [0, 1); the character value is exp(2 pi i angle).
-    """
-    comps = unit_group_components(m)
-    orders = [order for _, _, _, order in comps]
-    residues = [residue for _, _, residue, _ in comps]
-
-    items: list[tuple[int, tuple[int, ...]]] = []
-
-    def enumerate_units(i: int, residue: int, exps: tuple[int, ...]) -> None:
-        if i == len(residues):
-            items.append((residue, exps))
-            return
-        r = residue
-        for k in range(orders[i]):
-            enumerate_units(i + 1, r, exps + (k,))
-            r = r * residues[i] % m
-
-    enumerate_units(0, 1 % m if m > 1 else 0, ())
-
-    chars: list[AngleTable] = []
-
-    def enumerate_chars(i: int, exps: tuple[int, ...]) -> None:
-        if i == len(orders):
-            table = []
-            for a, xs in items:
-                angle = Fraction(0)
-                for e, x, o in zip(exps, xs, orders):
-                    angle += Fraction(e * x, o)
-                table.append((a, angle % 1))
-            chars.append(tuple(sorted(table)))
-            return
-        for e in range(orders[i]):
-            enumerate_chars(i + 1, exps + (e,))
-
-    enumerate_chars(0, ())
-    return tuple(chars)
+from .numerics import euler_phi, precision_digits
+from .oracle import TRIVIAL_CHARACTER, DirichletCharacter, characters_up_to
 
 
 @lru_cache(maxsize=None)
-def primitive_from(m: int, table: AngleTable) -> tuple[int, AngleTable]:
-    """Conductor and primitive value table of a character given mod m."""
-    for f in range(1, m + 1):
-        if m % f:
-            continue
-        if all(angle == 0 for a, angle in table if a % f == 1 % f):
-            prim: dict[int, Fraction] = {}
-            for a, angle in table:
-                prim.setdefault(a % f if f > 1 else 1, angle)
-            return f, tuple(sorted(prim.items()))
-    raise AssertionError("no conductor found")
+def characters_mod(m: int) -> tuple[DirichletCharacter, ...]:
+    """All characters of (Z/m)^*, each given by its primitive character."""
+    return (TRIVIAL_CHARACTER,) + tuple(
+        chi for chi in characters_up_to(euler_phi(m), m) if m % chi.conductor == 0
+    )
 
 
 def _root_of_unity(angle: Fraction):
@@ -80,7 +33,7 @@ def _root_of_unity(angle: Fraction):
     return mp.expjpi(2 * mp.mpf(angle.numerator) / angle.denominator)
 
 
-def _l_value(x: Fraction, f: int, prim: AngleTable):
+def _l_value(x: Fraction, f: int, prim: tuple[tuple[int, Fraction], ...]):
     """L(x, chi) for the primitive character chi of conductor f at real x > 0."""
     if f == 1:
         return mp.zeta(mp.mpf(x.numerator) / x.denominator)
@@ -100,9 +53,8 @@ def _l_value(x: Fraction, f: int, prim: AngleTable):
 def _dedekind_zeta_value(m: int, x: Fraction, dps: int):
     with mp.workdps(dps + 10):
         acc = mp.mpc(1)
-        for table in characters_mod(m):
-            f, prim = primitive_from(m, table)
-            acc *= _l_value(x, f, prim)
+        for chi in characters_mod(m):
+            acc *= _l_value(x, chi.conductor, chi.angles())
         assert abs(acc.imag) < mp.mpf(10) ** (-dps), "zeta value should be real"
         return acc.real
 
@@ -119,11 +71,10 @@ def dedekind_zeta_value(m: int, x: Fraction | int, dps: int | None = None):
 def _dedekind_zeta_residue(m: int, dps: int):
     with mp.workdps(dps + 10):
         acc = mp.mpc(1)
-        for table in characters_mod(m):
-            f, prim = primitive_from(m, table)
-            if f == 1:
+        for chi in characters_mod(m):
+            if chi.conductor == 1:
                 continue
-            acc *= _l_value(Fraction(1), f, prim)
+            acc *= _l_value(Fraction(1), chi.conductor, chi.angles())
         assert abs(acc.imag) < mp.mpf(10) ** (-dps)
         return acc.real
 

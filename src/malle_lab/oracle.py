@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -189,6 +190,28 @@ class DirichletCharacter:
             for e, n in zip(exps, _local_orders(p, k)):
                 out.append((n, e % n))
         return tuple(out)
+
+    def angles(self) -> tuple[tuple[int, Fraction], ...]:
+        """Values on the units a mod the conductor as sorted pairs (a, angle).
+
+        chi(a) = exp(2 pi i angle) with angle in [0, 1).  The table walks the
+        powers of the generators of ``unit_group_components(conductor)``,
+        the generators ``generator_values`` refers to.
+        """
+        prim = self.primitive()
+        f = prim.conductor
+        if f == 1:
+            return ((1, Fraction(0)),)
+        table = [(1, Fraction(0))]
+        gens = unit_group_components(f)
+        for (_, _, g, _), (n, e) in zip(gens, prim.generator_values()):
+            walked = []
+            for a, angle in table:
+                for x in range(n):
+                    walked.append((a, (angle + Fraction(e * x, n)) % 1))
+                    a = a * g % f
+            table = walked
+        return tuple(sorted(table))
 
 
 def _lift(p: int, k_from: int, exps: tuple[int, ...], k_to: int) -> tuple[int, ...]:

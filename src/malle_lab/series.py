@@ -190,7 +190,6 @@ class ZetaFactorization:
         return sum(1 for _, a in self.entries if a == d)
 
 
-@lru_cache(maxsize=None)
 def _disc_orbits(G: AbelianGroup) -> tuple[OrbitData, ...]:
     return nonidentity_orbits(G, GaloisActionSpec.cyclotomic(G), WeightFn.disc())
 

@@ -265,10 +265,10 @@ def _model_slope(model: SubconvexityModel) -> tuple[int, int]:
     raise ValueError("scan supports only the preset models")
 
 
-def _scan_chunk(lo: int, hi: int, cn: int, cd: int) -> list[ScanRow]:
-    """Rows for composite n in [lo, hi); pure integer arithmetic."""
-    phi = _phi_sieve(hi)
-    spf = _spf_sieve(hi)
+def _scan_chunk(
+    lo: int, hi: int, cn: int, cd: int, phi: list[int], spf: list[int]
+) -> list[ScanRow]:
+    """Rows for composite n in [lo, hi); the sieves must reach hi - 1."""
     rows: list[ScanRow] = []
     for n in range(max(lo, 4), hi):
         if spf[n] == n:
@@ -343,6 +343,8 @@ def scan_cyclic(
         raise ValueError("scan needs n_max >= 4")
     model = model or SubconvexityModel.soehne()
     cn, cd = _model_slope(model)
+    phi = _phi_sieve(n_max)
+    spf = _spf_sieve(n_max)
     if jobs > 1:
         import multiprocessing
 
@@ -350,11 +352,11 @@ def scan_cyclic(
         spans = [(lo, min(lo + step, n_max)) for lo in range(4, n_max, step)]
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             parts = pool.starmap(
-                _scan_chunk, [(lo, hi, cn, cd) for lo, hi in spans]
+                _scan_chunk, [(lo, hi, cn, cd, phi, spf) for lo, hi in spans]
             )
         rows = [row for part in parts for row in part]
     else:
-        rows = _scan_chunk(4, n_max, cn, cd)
+        rows = _scan_chunk(4, n_max, cn, cd, phi, spf)
     rows.sort(key=lambda r: r.n)
     count_i = sum(1 for r in rows if r.flag_i)
     count_ii = sum(1 for r in rows if r.flag_ii)

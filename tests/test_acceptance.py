@@ -4,7 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines.  Criterion 3 (the composite-n scan percentages) is a known red: the
 implemented bound reproduces every closed form the optimizer is built from,
 but the two published scan fractions are not reachable from it; the
-decisions ledger carries the full analysis.
+"Known red" section of README.md carries the analysis.
 """
 
 import math

@@ -160,6 +160,12 @@ class TestMoebius:
         with pytest.raises(ValueError):
             moebius_subgroup(H, G)
 
+    def test_elements_not_spanned_by_generators(self):
+        G = make_group([4])
+        H = Subgroup(G, frozenset({(0,), (1,)}), ((1,),))
+        with pytest.raises(ValueError):
+            moebius_subgroup(H, G)
+
     def test_defining_recursion_everywhere(self):
         # sum over H <= K <= G of mu(K, G) is 1 exactly when H = G; the
         # family covers orders up to 200 with small lattices (the elementary

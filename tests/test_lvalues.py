@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from mpmath import mp
@@ -6,13 +7,18 @@ from malle_lab.lvalues import (
     characters_mod,
     dedekind_zeta_residue,
     dedekind_zeta_value,
-    primitive_from,
     riemann_zeta_value,
 )
+from malle_lab.oracle import TRIVIAL_CHARACTER
 
 
 def close(a, b, digits=25):
     return abs(a - b) < mp.mpf(10) ** (-digits)
+
+
+def _value(table: dict, f: int, a: int) -> Fraction:
+    """Angle of the character with value table `table` mod f at the unit a."""
+    return table[a % f if f > 1 else 1]
 
 
 class TestCharacters:
@@ -23,15 +29,35 @@ class TestCharacters:
         assert len(characters_mod(9)) == 6
 
     def test_conductors_mod_9(self):
-        conductors = sorted(primitive_from(9, t)[0] for t in characters_mod(9))
+        conductors = sorted(chi.conductor for chi in characters_mod(9))
         assert conductors == [1, 3, 9, 9, 9, 9]
 
-    def test_induced_character_reproduces_values(self):
-        for table in characters_mod(12):
-            f, prim = primitive_from(12, table)
-            prim_map = dict(prim)
-            for a, angle in table:
-                assert prim_map[a % f if f > 1 else 1] == angle
+    def test_angles_are_homomorphisms(self):
+        chars = {chi for m in range(1, 41) for chi in characters_mod(m)}
+        assert TRIVIAL_CHARACTER.angles() == ((1, Fraction(0)),)
+        for chi in chars:
+            f = chi.conductor
+            table = dict(chi.angles())
+            units = [a for a in range(1, max(f, 2)) if math.gcd(a, f) == 1]
+            assert sorted(table) == units
+            assert all(0 <= angle < 1 for angle in table.values())
+            for a in units:
+                for b in units:
+                    assert _value(table, f, a * b) == (table[a] + table[b]) % 1
+
+    def test_product_angles_add(self):
+        for m in (16, 36, 40, 63):
+            for chi in characters_mod(m):
+                for psi in characters_mod(m):
+                    prod = chi.mul(psi)
+                    t1, t2, t3 = (dict(c.angles()) for c in (chi, psi, prod))
+                    for a in range(1, m):
+                        if math.gcd(a, m) != 1:
+                            continue
+                        expected = (
+                            _value(t1, chi.conductor, a) + _value(t2, psi.conductor, a)
+                        ) % 1
+                        assert _value(t3, prod.conductor, a) == expected
 
 
 class TestValues:

@@ -1,0 +1,49 @@
+"""The experiment scripts under scripts/ run end to end and print their JSON."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(tmp_path, script: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_run_scan(tmp_path):
+    out = tmp_path / "scan.csv"
+    stdout = _run(tmp_path, "run_scan.py", "--max", "500", "--jobs", "2", "--out", str(out))
+    summary = json.loads(stdout)
+    assert set(summary) == {
+        "n_max", "model", "composite_count", "count_i", "count_ii", "fraction_i",
+        "fraction_ii", "seconds", "flag_ii_by_case", "flag_i_by_n_mod_12", "csv",
+    }
+    assert summary["n_max"] == 500 and summary["csv"] == str(out)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "n,a,d2,theta,flag_i,flag_ii,case"
+    assert len(lines) == summary["composite_count"] + 1
+
+
+def test_main_term_regression(tmp_path):
+    stdout = _run(tmp_path, "main_term_regression.py", "--group", "C2", "--xmax", "2000")
+    rows = [json.loads(line) for line in stdout.splitlines()]
+    assert len(rows) == 12
+    for row in rows:
+        assert set(row) == {"X", "observed", "predicted", "rel_err"}
+    assert rows[-1]["X"] == 2000 and rows[-1]["observed"] > 0
