@@ -2,18 +2,22 @@
 
 Elements are residue tuples, subgroups are explicit element sets, and the
 subgroup poset carries a Moebius function (P. Hall's closed form) used by
-the surjection sieve.  Groups are fully enumerated below a configurable cap;
-large groups beyond the cap are only touched through divisor arithmetic
-elsewhere.
+the surjection sieve.  The sieve needs only the subgroups containing the
+Frattini subgroup Phi(G); they are built directly as the preimages of the
+subspaces of G/Phi(G), a product over p of F_p^(r_p).  ``subgroup_lattice``
+finds every subgroup by a BFS over spans and is kept as the reference the
+tests compare against.  Groups are fully enumerated below a configurable
+cap; large groups beyond the cap are only touched through divisor
+arithmetic elsewhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .numerics import factorize, radical
 
@@ -87,12 +91,16 @@ class AbelianGroup:
         return "x".join(f"C{d}" for d in self.invariant_factors)
 
 
-@lru_cache(maxsize=None)
-def _elements(G: AbelianGroup) -> tuple[Element, ...]:
+def _check_cap(G: AbelianGroup) -> None:
     if G.order > ENUMERATION_CAP:
         raise GroupTooLargeError(
             f"|G| = {G.order} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
+
+
+@lru_cache(maxsize=None)
+def _elements(G: AbelianGroup) -> tuple[Element, ...]:
+    _check_cap(G)
     return tuple(product(*(range(d) for d in G.invariant_factors)))
 
 
@@ -136,7 +144,7 @@ class Subgroup:
 
     group: AbelianGroup
     elements: frozenset[Element]
-    generators: tuple[Element, ...]
+    generators: tuple[Element, ...] = field(compare=False)
 
     @property
     def order(self) -> int:
@@ -229,14 +237,67 @@ def moebius_subgroup(H: Subgroup, G: AbelianGroup) -> int:
     return _hall_moebius(G.order // H.order)
 
 
+def _subspaces(p: int, n: int):
+    """Every subspace of F_p^n once, as the rows of its reduced row-echelon form."""
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free = [
+                (r, c)
+                for r, pc in enumerate(pivots)
+                for c in range(pc + 1, n)
+                if c not in pivots
+            ]
+            for values in product(range(p), repeat=len(free)):
+                rows = [[int(c == pc) for c in range(n)] for pc in pivots]
+                for (r, c), v in zip(free, values):
+                    rows[r][c] = v
+                yield rows
+
+
+def _lifted_subspaces(G: AbelianGroup, p: int) -> list[tuple[Element, ...]]:
+    """Lifts to G of the subspaces of the p-part of G/Frattini(G).
+
+    That part is F_p^r, one coordinate per invariant factor d_i divisible
+    by p; its i-th basis vector lifts to e_i times the CRT idempotent of
+    Z/d_i that is 1 mod the p-part of d_i and 0 mod the rest.
+    """
+    coords, idempotents = [], []
+    for i, d in enumerate(G.invariant_factors):
+        if d % p:
+            continue
+        q = p ** dict(factorize(d))[p]
+        rest = d // q
+        coords.append(i)
+        idempotents.append(rest * pow(rest, -1, q) % d)
+    out = []
+    for rows in _subspaces(p, len(coords)):
+        lifts = []
+        for row in rows:
+            g = [0] * G.rank
+            for i, c, v in zip(coords, idempotents, row):
+                g[i] = v * c % G.invariant_factors[i]
+            lifts.append(tuple(g))
+        out.append(tuple(lifts))
+    return out
+
+
+@lru_cache(maxsize=None)
 def sieve_terms(G: AbelianGroup) -> tuple[tuple[Subgroup, int], ...]:
-    """Subgroups with nonzero Moebius weight, i.e. those containing Frattini."""
-    phi = frattini(G).elements
-    return tuple(
-        (H, _hall_moebius(G.order // H.order))
-        for H in subgroup_lattice(G)
-        if phi <= H.elements
-    )
+    """Subgroups with nonzero Moebius weight, i.e. those containing Frattini.
+
+    They are the preimages of the subspaces of G/Frattini(G), one span per
+    choice of a subspace for every prime, sorted by (order, element list)
+    as in ``subgroup_lattice``.
+    """
+    _check_cap(G)
+    phi = frattini(G).generators
+    per_prime = [_lifted_subspaces(G, p) for p, _ in factorize(G.order)]
+    subs = [
+        span(G, phi + sum(choice, ()))
+        for choice in product(*per_prime)
+    ]
+    subs.sort(key=lambda H: (H.order, H.sorted_elements()))
+    return tuple((H, _hall_moebius(G.order // H.order)) for H in subs)
 
 
 def subgroup_invariant_factors(H: Subgroup) -> AbelianGroup:

@@ -22,8 +22,8 @@ from .groups import (
     element_order,
     frattini,
     make_group,
+    sieve_terms,
     subgroup_invariant_factors,
-    subgroup_lattice,
 )
 from .numerics import smallest_prime_factor, unit_group_components
 
@@ -320,10 +320,9 @@ def conjectured_pole_order(
     wt = WeightFn.disc()
     if Fraction(d) not in weight_spectrum(G, action, wt):
         raise ValueError(f"{d} is not in the index spectrum of {G}")
-    phi = frattini(G).elements
     best = 0
-    for H in subgroup_lattice(G):
-        if not phi <= H.elements or H.order == 1:
+    for H, _ in sieve_terms(G):
+        if H.order == 1:
             continue
         index = G.order // H.order
         if d % index:

@@ -523,16 +523,12 @@ def nonvanishing_limit(
         raise UnsupportedCaseError(f"no proved expression for {G} at d = {d}")
     dps = dps or precision_digits()
     orbs = _disc_orbits(G)
-    action, wt = GaloisActionSpec.cyclotomic(G), WeightFn.disc()
     a = int(min(o.weight for o in orbs))
-    entries = tuple(
-        (o.element_order, int(o.weight), b_d(G, action, wt, o.weight))
-        for o in orbs
-    )
+    entries = tuple((o.element_order, int(o.weight), 1) for o in orbs)
 
     def sieve_value(subgroups, corr_lower, corr_upper):
         """Sieve sum with the zeta factors of corr_lower < ind < corr_upper
-        divided out; entries carry (m, ind, multiplicity b_ind)."""
+        divided out, one cyclotomic zeta factor per orbit."""
         corrections = tuple(e for e in entries if corr_lower < e[1] < corr_upper)
         rows = [(H, corrections) for H, _ in subgroups]
         return {

@@ -19,6 +19,8 @@ from malle_lab.groups import (
     make_group,
     moebius_subgroup,
     parse_group_literal,
+    sieve_terms,
+    span,
     subgroup_invariant_factors,
     subgroup_lattice,
     trivial_subgroup,
@@ -97,6 +99,16 @@ class TestSubgroups:
     def test_cap(self):
         with pytest.raises(GroupTooLargeError):
             subgroup_lattice(make_group([10007 + 1]))  # 10008 > cap
+        with pytest.raises(GroupTooLargeError):
+            sieve_terms(make_group([10007 + 1]))
+
+    def test_equality_ignores_generators(self):
+        G = make_group([2, 2])
+        A = span(G, ((1, 0), (0, 1)))
+        B = span(G, ((1, 1), (0, 1)))
+        assert A.generators != B.generators
+        assert A == B
+        assert hash(A) == hash(B)
 
     def test_abstract_type_of_subgroups(self):
         G = make_group([2, 4])
@@ -193,6 +205,55 @@ class TestMoebius:
             for H in lattice:
                 if moebius_subgroup(H, G) != 0:
                     assert phi <= H.elements
+
+
+ELEMENTARY_2_6 = make_group([2] * 6)
+
+
+def _gaussian_binomial(n: int, k: int, q: int) -> int:
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+class TestSieveTerms:
+    def test_matches_filtered_bfs(self):
+        # the BFS of C2^6 alone takes about 25 s; it is checked without it below
+        for G in all_abelian_groups(64):
+            if G == ELEMENTARY_2_6:
+                continue
+            phi = frattini(G).elements
+            expected = [
+                (H.elements, moebius_subgroup(H, G))
+                for H in subgroup_lattice(G)
+                if phi <= H.elements
+            ]
+            assert [(H.elements, mu) for H, mu in sieve_terms(G)] == expected, G
+
+    def test_elementary_2_6_counts(self):
+        terms = sieve_terms(ELEMENTARY_2_6)
+        assert len(terms) == 2825
+        per_index = {}
+        for H, _ in terms:
+            index = ELEMENTARY_2_6.order // H.order
+            per_index[index] = per_index.get(index, 0) + 1
+        assert per_index == {2**k: _gaussian_binomial(6, k, 2) for k in range(7)}
+        assert sum(mu for _, mu in terms) == 0
+
+    def test_recursion_on_sieve_subgroups(self):
+        # every K between H and G contains Frattini(G) once H does, so the
+        # defining recursion of mu runs over the sieve subgroups alone
+        for G in _moebius_family() + [make_group([2] * 5), ELEMENTARY_2_6]:
+            terms = sieve_terms(G)
+            for H, _ in terms:
+                total = sum(
+                    mu
+                    for K, mu in terms
+                    if K.order % H.order == 0 and H.elements <= K.elements
+                )
+                assert total == (1 if H.order == G.order else 0), (G, H.order)
 
 
 class TestAutOrder:

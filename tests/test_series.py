@@ -326,6 +326,14 @@ class TestNonvanishing:
         assert rep.case == "case_iv"
         assert rep.sign != 0
 
+    @pytest.mark.parametrize("factors,d", [([4, 4], 12), ([4, 8], 24)])
+    def test_one_zeta_factor_per_orbit(self, factors, d):
+        # three order-2 orbits of index below d: dividing each of their zeta
+        # factors out b_ind times instead of once drove these toward 1e-14
+        rep = nonvanishing_limit(make_group(factors), d, 2000)
+        assert rep.case == "case_ii"
+        assert all(v > 1e-3 for _, v in rep.checkpoints)
+
     def test_unsupported(self):
         with pytest.raises(UnsupportedCaseError):
             nonvanishing_limit(make_group([15]), 12, 100)
