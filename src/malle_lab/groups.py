@@ -150,9 +150,6 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return other.elements <= self.elements
-
     def sorted_elements(self) -> tuple[Element, ...]:
         return tuple(sorted(self.elements))
 
@@ -207,10 +204,8 @@ def trivial_subgroup(G: AbelianGroup) -> Subgroup:
 
 def frattini(G: AbelianGroup) -> Subgroup:
     """Intersection of the maximal subgroups; for abelian G this is rad(|G|)*G."""
-    if G.order == 1:
-        return trivial_subgroup(G)
     r = radical(G.order)
-    gens = tuple(G.scale(r, e) for e in G.basis())
+    gens = tuple(g for g in (G.scale(r, e) for e in G.basis()) if g != G.identity)
     return span(G, gens)
 
 
@@ -373,10 +368,6 @@ def character_angle(G: AbelianGroup, chi: Element, g: Element) -> Fraction:
 
 def character_is_trivial_on(G: AbelianGroup, chi: Element, g: Element) -> bool:
     return character_angle(G, chi, g) == 0
-
-
-def dual_group(G: AbelianGroup) -> AbelianGroup:
-    return AbelianGroup(G.invariant_factors)
 
 
 def parse_group_literal(text: str) -> AbelianGroup:

@@ -6,7 +6,8 @@ representation.  Galois twists act on group elements through pairs
 (automorphism, unit power); over Q the plain cyclotomic action uses every
 unit.  Orbits of that action, weighted by an index function, produce the
 exponents and log-powers of the counting asymptotics and the case analysis
-for when lower order terms provably survive the surjection sieve.
+for when lower order terms provably survive the surjection sieve; the cases
+need only the element orders, so they are found without enumerating G.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from .groups import (
     AbelianGroup,
     Element,
     element_order,
-    frattini,
     make_group,
     sieve_terms,
     subgroup_invariant_factors,
 )
-from .numerics import smallest_prime_factor, unit_group_components
+from .numerics import divisors, factorize, unit_group_components
 
 
 class InvarianceViolation(ValueError):
@@ -338,36 +338,44 @@ def conjectured_pole_order(
     return best
 
 
-NONVANISHING_CASES = ("case_i", "case_ii", "case_iii", "case_iv", "none")
-
-
-def nonvanishing_case(G: AbelianGroup, d: int) -> str:
+def classify_case(n: int, d: int, orders: list[int], m: int, cyclic: bool) -> str:
     """First applicable non-vanishing case for the pole at s = 1/d over Q.
 
+    G has order n and element orders ``orders`` (the divisors e > 1 of
+    exp(G), ascending); those of order e lie in Frattini(G) iff e | m.
     i: d is the minimal index.  ii: everything of smaller index sits in the
     Frattini subgroup.  iii: G = C2 x (odd) and smaller-index elements sit in
     Frattini union the 2-torsion.  iv: G cyclic and d the index of a
     generator.  'none' otherwise.
     """
-    action = GaloisActionSpec.cyclotomic(G)
-    wt = WeightFn.disc()
-    if Fraction(d) not in weight_spectrum(G, action, wt):
-        raise ValueError(f"{d} is not in the index spectrum of {G}")
-    n = G.order
-    ell = smallest_prime_factor(n)
-    if d == n - n // ell:
+    if d == n - n // orders[0]:
         return "case_i"
-    phi = frattini(G).elements
-    smaller = [g for g in G.elements() if g != G.identity and index_of(G, g) < d]
-    if all(g in phi for g in smaller):
+    smaller = [e for e in orders if n - n // e < d]
+    if all(m % e == 0 for e in smaller):
         return "case_ii"
-    if n % 4 == 2:
-        two_torsion = {g for g in G.elements() if G.scale(2, g) == G.identity}
-        if all(g in phi or g in two_torsion for g in smaller):
-            return "case_iii"
-    if G.is_cyclic() and d == n - 1:
+    if n % 4 == 2 and all(e == 2 or m % e == 0 for e in smaller):
+        return "case_iii"
+    if cyclic and d == n - 1:
         return "case_iv"
     return "none"
+
+
+def nonvanishing_case(G: AbelianGroup, d: int) -> str:
+    """``classify_case`` from the invariant factors d_i, so G may exceed the cap.
+
+    Frattini(G) = prod_p p G_p holds every element of order e iff e divides
+    m = prod over p | |G| of p^(min v_p(d_i) - 1), over the d_i divisible by p.
+    """
+    n = G.order
+    orders = [e for e in divisors(G.exponent) if e > 1]
+    if d not in {n - n // e for e in orders}:
+        raise ValueError(f"{d} is not in the index spectrum of {G}")
+    m = 1
+    for p, _ in factorize(n):
+        # d_1 | d_2 | ...: the first d_i divisible by p has the least v_p
+        first = next(f for f in G.invariant_factors if f % p == 0)
+        m *= p ** (dict(factorize(first))[p] - 1)
+    return classify_case(n, d, orders, m, G.is_cyclic())
 
 
 def invariant_summary(

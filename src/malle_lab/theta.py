@@ -7,8 +7,8 @@ The bound for the error exponent theta has the shape
 minimized over the finitely many candidates D in the weight spectrum plus
 D = 2a.  The subconvexity model supplies mu: degree/4 for convexity,
 degree/6 for the known unconditional bound, 0 under Lindelof, where the
-degree of the orbit L-function is |orbit| * [K:Q].  Everything in this
-module is Fraction arithmetic; no floats.
+degree of the orbit L-function is |orbit| * [K:Q].  One kernel evaluates
+it: on Fractions for ``theta_best``, on ints in the cyclic scan; no floats.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from .invariants import (
     GaloisActionSpec,
     OrbitData,
     WeightFn,
-    a_invariant,
+    classify_case,
     nonidentity_orbits,
-    weight_spectrum,
 )
-from .numerics import divisors, radical
+from .numerics import radical
+
+_PRESET_SLOPES = {"soehne": Fraction(1, 3), "convexity": Fraction(1, 2), "lindelof": Fraction(0)}
 
 
 @dataclass(frozen=True)
@@ -37,13 +38,13 @@ class SubconvexityModel:
     deg_k: int = 1
     table: tuple[tuple[Element, Fraction], ...] | None = None
 
+    def slope(self) -> Fraction:
+        """2 mu per element of the orbit, the same for every orbit of a preset model."""
+        if self.kind not in _PRESET_SLOPES:
+            raise ValueError(f"model kind {self.kind!r} has no per-element slope")
+        return self.deg_k * _PRESET_SLOPES[self.kind]
+
     def mu(self, orbit: OrbitData) -> Fraction:
-        if self.kind == "convexity":
-            return Fraction(self.deg_k * orbit.size, 4)
-        if self.kind == "soehne":
-            return Fraction(self.deg_k * orbit.size, 6)
-        if self.kind == "lindelof":
-            return Fraction(0)
         if self.kind == "custom":
             assert self.table is not None
             lookup = dict(self.table)
@@ -53,7 +54,7 @@ class SubconvexityModel:
             if value < 0:
                 raise ValueError("mu values must be nonnegative")
             return value
-        raise ValueError(f"unknown model kind {self.kind!r}")
+        return self.slope() * orbit.size / 2
 
     @staticmethod
     def soehne(deg_k: int = 1) -> "SubconvexityModel":
@@ -109,6 +110,45 @@ def vertical_exponent(
     return total
 
 
+def _theta_table(classes, k, candidates=None):
+    """(D, numerator, denominator) of the bound at each candidate D, and the first minimum.
+
+    classes are (w, c_w) by ascending weight, c_w = k * (sum of 2 mu over the
+    orbits of weight w); with T = sum over w < D of c_w (D - w) the bound is
+    (k a + T) / (a (k D + T)).  Candidates default to the weights below 2a, and 2a.
+    """
+    a = classes[0][0]
+    if candidates is None:
+        candidates = [w for w, _ in classes if w < 2 * a] + [2 * a]
+    table = []
+    for D in candidates:
+        T = 0
+        for w, c in classes:
+            if w >= D:
+                break
+            T += c * (D - w)
+        table.append((D, k * a + T, a * (k * D + T)))
+    best = table[0]
+    for entry in table[1:]:
+        if entry[1] * best[2] < best[1] * entry[2]:
+            best = entry
+    return table, best
+
+
+def _orbit_classes(G, action, wt, model) -> list[tuple[Fraction, Fraction]]:
+    """(w, sum of 2 mu over the orbits of weight w) by ascending w: the classes at k = 1."""
+    if G.order <= 1:
+        raise ValueError("theta is undefined for the trivial group")
+    classes: dict[Fraction, Fraction] = {}
+    for o in nonidentity_orbits(G, action, wt):
+        two_mu = 2 * model.mu(o)
+        if model.kind == "soehne":
+            elements = o.size * Fraction(model.deg_k, 3)
+            assert two_mu == elements, "orbit-level and element-level bounds disagree"
+        classes[o.weight] = classes.get(o.weight, 0) + two_mu
+    return sorted(classes.items())
+
+
 def theta_at_D(
     G: AbelianGroup,
     action: GaloisActionSpec,
@@ -118,23 +158,12 @@ def theta_at_D(
 ) -> Fraction:
     """The bound evaluated at one shift parameter D in [a, 2a]."""
     D = Fraction(D)
-    orbs = nonidentity_orbits(G, action, wt)
-    a = min(o.weight for o in orbs)
+    classes = _orbit_classes(G, action, wt, model)
+    a = classes[0][0]
     if not a <= D <= 2 * a:
         raise ValueError(f"D = {D} outside [{a}, {2 * a}]")
-    denom = Fraction(1)
-    for o in orbs:
-        if o.weight < D:
-            denom += 2 * model.mu(o) * (1 - o.weight / D)
-    bound = 1 / a - (1 / a - 1 / D) / denom
-    if model.kind == "soehne":
-        # orbit-level bound must agree with the element-level form deg/3 per element
-        elt_denom = Fraction(1)
-        for o in orbs:
-            if o.weight < D:
-                elt_denom += o.size * Fraction(model.deg_k, 3) * (1 - o.weight / D)
-        assert elt_denom == denom, "orbit-level and element-level bounds disagree"
-    return bound
+    _, (_, num, den) = _theta_table(classes, 1, [D])
+    return num / den
 
 
 def theta_best(
@@ -144,20 +173,17 @@ def theta_best(
     model: SubconvexityModel,
 ) -> ThetaResult:
     """Minimize the bound over the candidate shifts (spectrum plus 2a)."""
-    if G.order <= 1:
-        raise ValueError("theta is undefined for the trivial group")
-    a = a_invariant(G, action, wt)
-    candidates = sorted(set(weight_spectrum(G, action, wt)) | {2 * a})
-    candidates = [D for D in candidates if a <= D <= 2 * a]
-    table = tuple((D, theta_at_D(G, action, wt, model, D)) for D in candidates)
+    classes = _orbit_classes(G, action, wt, model)
+    a = classes[0][0]
+    rows, (witness, num, den) = _theta_table(classes, 1)
+    table = tuple((D, n / d) for D, n, d in rows)
     values = [v for _, v in table]
     # convex in D: no interior strict local maximum among the candidates
     for i in range(1, len(values) - 1):
         assert not (
             values[i] > values[i - 1] and values[i] > values[i + 1]
         ), "candidate table has an interior local max"
-    best = min(range(len(table)), key=lambda i: (values[i], table[i][0]))
-    bound, witness = values[best], table[best][0]
+    bound = num / den
     assert bound == min(values)
     assert bound < 1 / a, "bound does not save over the main term"
     return ThetaResult(bound, witness, model.kind, table)
@@ -165,8 +191,6 @@ def theta_best(
 
 def theta_ram(G: AbelianGroup, deg_k: int = 1) -> Fraction:
     """Unconditional bound for the product-of-ramified-primes ordering."""
-    if G.order <= 1:
-        raise ValueError("theta is undefined for the trivial group")
     value = 1 - Fraction(3, 6 + deg_k * (G.order - 1))
     best = theta_best(
         G,
@@ -254,17 +278,6 @@ def _divisors_from_spf(n: int, spf: list[int]) -> list[int]:
     return divs
 
 
-def _model_slope(model: SubconvexityModel) -> tuple[int, int]:
-    """Per-element coefficient 2 mu / degree as a fraction (cn, cd)."""
-    if model.kind == "soehne":
-        return model.deg_k, 3
-    if model.kind == "convexity":
-        return model.deg_k, 2
-    if model.kind == "lindelof":
-        return 0, 1
-    raise ValueError("scan supports only the preset models")
-
-
 def _scan_chunk(
     lo: int, hi: int, cn: int, cd: int, phi: list[int], spf: list[int]
 ) -> list[ScanRow]:
@@ -276,54 +289,22 @@ def _scan_chunk(
         divs = _divisors_from_spf(n, spf)[1:]  # drop 1
         inds = [n - n // e for e in divs]
         a, d2 = inds[0], inds[1]
-        best_num, best_den = None, None
-        for D in inds + [2 * a]:
-            s = 0
-            for e, ind in zip(divs, inds):
-                if ind >= D:
+        classes = [(ind, cn * phi[e]) for e, ind in zip(divs, inds)]
+        _, (_, num, den) = _theta_table(classes, cd)
+        flag_i = num * d2 < den
+        case = "none"
+        if flag_i:  # otherwise no larger index has theta < 1/d either
+            m = n // radical(n)
+            for d in inds[1:]:
+                if num * d >= den:
                     break
-                s += phi[e] * (D - ind)
-            num = cn * s + cd * a
-            den = a * (cd * D + cn * s)
-            if best_num is None or num * best_den < best_num * den:
-                best_num, best_den = num, den
-        flag_i = best_num * d2 < best_den
-        flag_ii = False
-        case_used = "none"
-        for e, d in zip(divs[1:], inds[1:]):
-            if best_num * d < best_den:
-                case = _cyclic_case_fast(n, d, divs, inds)
+                case = classify_case(n, d, divs, m, True)
                 if case != "none":
-                    flag_ii = True
-                    case_used = case
                     break
         rows.append(
-            ScanRow(n, a, d2, Fraction(best_num, best_den), flag_i, flag_ii, case_used)
+            ScanRow(n, a, d2, Fraction(num, den), flag_i, case != "none", case)
         )
     return rows
-
-
-def _cyclic_case_fast(n: int, d: int, divs: list[int], inds: list[int]) -> str:
-    if d == inds[0]:
-        return "case_i"
-    nrad = n // radical(n)
-    small = [e for e, ind in zip(divs, inds) if ind < d]
-    if all(nrad % e == 0 for e in small):
-        return "case_ii"
-    if n % 4 == 2 and all(nrad % e == 0 or e == 2 for e in small):
-        return "case_iii"
-    if d == n - 1:
-        return "case_iv"
-    return "none"
-
-
-def cyclic_nonvanishing_case(n: int, d: int) -> str:
-    """Divisor-arithmetic version of the case classification for C_n."""
-    divs = [e for e in divisors(n) if e > 1]
-    inds = [n - n // e for e in divs]
-    if d not in inds:
-        raise ValueError(f"{d} is not in the index spectrum of C_{n}")
-    return _cyclic_case_fast(n, d, divs, inds)
 
 
 def scan_cyclic(
@@ -331,18 +312,19 @@ def scan_cyclic(
 ) -> ScanReport:
     """Scan composite n < n_max for revealed lower order terms.
 
-    Integer arithmetic throughout: for the preset models the bound at D is
-    (cn*S + cd*a) / (a*(cd*D + cn*S)) with S = sum phi(e) (D - ind_e) over
-    divisors e of smaller index, where cn/cd is 2mu/degree per element.
-    Criterion (i) flags theta < 1/d2 for d2 the second smallest index;
-    criterion (ii) additionally demands an index d > a with theta < 1/d,
-    a proved non-vanishing case, and bbar_d >= 1 (automatic with the default
+    Runs the theta kernel in int arithmetic: the orbits of C_n of order e
+    form one class of index n - n/e with c = cn * phi(e) and k = cd, where
+    cn/cd is the preset model's 2 mu per element.  Criterion (i) flags
+    theta < 1/d2 for d2 the second smallest index; criterion (ii)
+    additionally demands an index d > a with theta < 1/d, a proved
+    non-vanishing case, and bbar_d >= 1 (automatic with the default
     zeta-order hook since every index of a cyclic group has b_d = 1).
     """
     if n_max < 4:
         raise ValueError("scan needs n_max >= 4")
     model = model or SubconvexityModel.soehne()
-    cn, cd = _model_slope(model)
+    slope = model.slope()
+    cn, cd = slope.numerator, slope.denominator
     phi = _phi_sieve(n_max)
     spf = _spf_sieve(n_max)
     if jobs > 1:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import all_abelian_groups
-from malle_lab.groups import element_order, make_group
+from malle_lab.groups import element_order, frattini, make_group
 from malle_lab.invariants import (
     GaloisActionSpec,
     InvarianceViolation,
@@ -223,6 +223,28 @@ class TestConjecturedPoleOrder:
         assert bbar_d(G, 12, hook) == 0
 
 
+def _nonvanishing_case_by_elements(G, d):
+    """Reference classifier: walks the elements of G, so |G| stays below the cap."""
+    action = GaloisActionSpec.cyclotomic(G)
+    if Fraction(d) not in weight_spectrum(G, action, DISC):
+        raise ValueError(f"{d} is not in the index spectrum of {G}")
+    n = G.order
+    ell = smallest_prime_factor(n)
+    if d == n - n // ell:
+        return "case_i"
+    phi = frattini(G).elements
+    smaller = [g for g in G.elements() if g != G.identity and index_of(G, g) < d]
+    if all(g in phi for g in smaller):
+        return "case_ii"
+    if n % 4 == 2:
+        two_torsion = {g for g in G.elements() if G.scale(2, g) == G.identity}
+        if all(g in phi or g in two_torsion for g in smaller):
+            return "case_iii"
+    if G.is_cyclic() and d == n - 1:
+        return "case_iv"
+    return "none"
+
+
 class TestCases:
     @pytest.mark.parametrize(
         "factors,d,expected",
@@ -244,6 +266,20 @@ class TestCases:
     def test_requires_spectrum_membership(self):
         with pytest.raises(ValueError):
             nonvanishing_case(make_group([4]), 4)
+
+    def test_matches_element_walk(self):
+        pairs = 0
+        for G in all_abelian_groups(64):
+            for d in weight_spectrum(G, GaloisActionSpec.cyclotomic(G), DISC):
+                expected = _nonvanishing_case_by_elements(G, int(d))
+                assert nonvanishing_case(G, int(d)) == expected, (G, d)
+                pairs += 1
+        assert pairs == 377
+
+    def test_above_enumeration_cap(self):
+        # 26244 = 2^2 3^8: the orders of smaller index are 2 and 3, both of
+        # which divide 26244 / rad(26244) = 4374
+        assert nonvanishing_case(make_group([26244]), 19683) == "case_ii"
 
 
 class TestSummary:

@@ -10,11 +10,11 @@ from malle_lab.invariants import (
     WeightFn,
     a_invariant,
     nonidentity_orbits,
+    nonvanishing_case,
     weight_spectrum,
 )
 from malle_lab.theta import (
     SubconvexityModel,
-    cyclic_nonvanishing_case,
     dual_selmer_size,
     scan_cyclic,
     theta_at_D,
@@ -200,16 +200,18 @@ class TestScan:
             best = theta_best(G, cyc(G), DISC, SubconvexityModel.soehne())
             assert rows[n].theta == best.bound
 
-    def test_case_fast_path_matches(self):
-        from malle_lab.invariants import nonvanishing_case
-
-        for n in range(4, 200):
+    def test_case_is_first_classified_index(self):
+        # the row's case is that of the first index d > a with theta < 1/d
+        # whose pole the classifier proves non-vanishing
+        rows = {r.n: r for r in scan_cyclic(200).rows}
+        for n, row in rows.items():
             G = make_group([n])
-            if len(G.invariant_factors) != 1:
-                continue
-            act = cyc(G)
-            for d in weight_spectrum(G, act, DISC):
-                assert cyclic_nonvanishing_case(n, int(d)) == nonvanishing_case(G, int(d))
+            inds = [int(d) for d in weight_spectrum(G, cyc(G), DISC)]
+            cases = [
+                nonvanishing_case(G, d) for d in inds[1:] if row.theta < Fraction(1, d)
+            ]
+            case = next((c for c in cases if c != "none"), "none")
+            assert (row.case, row.flag_ii) == (case, case != "none"), n
 
     def test_known_families_flag(self):
         # 6M reveals its secondary term for every M coprime to 6; 4M does so
@@ -241,6 +243,12 @@ class TestScan:
     def test_rejects_small_bound(self):
         with pytest.raises(ValueError):
             scan_cyclic(3)
+
+    def test_rejects_custom_model(self):
+        G = make_group([3])
+        rep = nonidentity_orbits(G, cyc(G), DISC)[0].representative
+        with pytest.raises(ValueError):
+            scan_cyclic(100, SubconvexityModel.custom({rep: Fraction(1, 3)}))
 
 
 class TestDualSelmer:
