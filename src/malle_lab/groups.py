@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -64,9 +63,6 @@ class AbelianGroup:
 
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
-
-    def neg(self, a: Element) -> Element:
-        return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
 
     def scale(self, k: int, a: Element) -> Element:
         return tuple((k * x) % d for x, d in zip(a, self.invariant_factors))
@@ -349,25 +345,6 @@ def aut_order(G: AbelianGroup) -> int:
             count *= p ** ((exps[i] - 1) * (n - c_k[i] + 1))
         total *= count
     return total
-
-
-# -- duals -------------------------------------------------------------------
-#
-# A character of G is an exponent tuple (k_1, ..., k_r) sending the i-th
-# basis element to a primitive d_i-th root of unity raised to k_i.  The dual
-# group has the same invariant factors, so characters reuse Element tuples.
-
-
-def character_angle(G: AbelianGroup, chi: Element, g: Element) -> Fraction:
-    """chi(g) as a rational angle in [0, 1): chi(g) = exp(2*pi*i*angle)."""
-    total = Fraction(0)
-    for k, x, d in zip(chi, g, G.invariant_factors):
-        total += Fraction(k * x, d)
-    return total % 1
-
-
-def character_is_trivial_on(G: AbelianGroup, chi: Element, g: Element) -> bool:
-    return character_angle(G, chi, g) == 0
 
 
 def parse_group_literal(text: str) -> AbelianGroup:

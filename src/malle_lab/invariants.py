@@ -142,35 +142,6 @@ class GaloisActionSpec:
             frontier = new
         return frozenset(seen)
 
-    def closure_pairs(self) -> frozenset[tuple[AutMap, int]]:
-        """All pairs generated under composition (identity included).
-
-        Composition of (a1,u1) then (a2,u2) is t -> a2(a1(t))^(u1*u2); only
-        meant for small groups and invariant checks.
-        """
-        G = self.group
-        exp = G.exponent
-        identity = (G.basis(), 1)
-
-        def compose(p: tuple[AutMap, int], q: tuple[AutMap, int]) -> tuple[AutMap, int]:
-            a1, u1 = p
-            a2, u2 = q
-            images = tuple(self.apply((a2, 1), img) for img in a1)
-            return images, (u1 * u2) % exp if exp > 1 else 1
-
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            new = []
-            for p in frontier:
-                for q in self.generators:
-                    r = compose(p, q)
-                    if r not in seen:
-                        seen.add(r)
-                        new.append(r)
-            frontier = new
-        return frozenset(seen)
-
     @staticmethod
     def trivial(G: AbelianGroup) -> "GaloisActionSpec":
         return GaloisActionSpec(G, ((G.basis(), 1),))

@@ -50,10 +50,14 @@ def _l_value(x: Fraction, f: int, prim: tuple[tuple[int, Fraction], ...]):
 
 
 @lru_cache(maxsize=None)
-def _dedekind_zeta_value(m: int, x: Fraction, dps: int):
+def _cyclotomic_zeta(m: int, x: Fraction, dps: int):
+    """Product of L(x, chi) over the characters mod m; at x = 1 the trivial
+    character, whose L-function has the pole, is left out."""
     with mp.workdps(dps + 10):
         acc = mp.mpc(1)
         for chi in characters_mod(m):
+            if x == 1 and chi.conductor == 1:
+                continue
             acc *= _l_value(x, chi.conductor, chi.angles())
         assert abs(acc.imag) < mp.mpf(10) ** (-dps), "zeta value should be real"
         return acc.real
@@ -64,24 +68,12 @@ def dedekind_zeta_value(m: int, x: Fraction | int, dps: int | None = None):
     x = Fraction(x)
     if x == 1:
         raise ValueError("pole at 1; use dedekind_zeta_residue")
-    return _dedekind_zeta_value(m, x, dps or precision_digits())
-
-
-@lru_cache(maxsize=None)
-def _dedekind_zeta_residue(m: int, dps: int):
-    with mp.workdps(dps + 10):
-        acc = mp.mpc(1)
-        for chi in characters_mod(m):
-            if chi.conductor == 1:
-                continue
-            acc *= _l_value(Fraction(1), chi.conductor, chi.angles())
-        assert abs(acc.imag) < mp.mpf(10) ** (-dps)
-        return acc.real
+    return _cyclotomic_zeta(m, x, dps or precision_digits())
 
 
 def dedekind_zeta_residue(m: int, dps: int | None = None):
     """Residue at s = 1 of zeta of Q(zeta_m): product of L(1, chi), chi != 1."""
-    return _dedekind_zeta_residue(m, dps or precision_digits())
+    return _cyclotomic_zeta(m, Fraction(1), dps or precision_digits())
 
 
 def riemann_zeta_value(x: Fraction | int, dps: int | None = None):

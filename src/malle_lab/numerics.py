@@ -109,15 +109,6 @@ def euler_phi(n: int) -> int:
     return value
 
 
-def moebius_int(n: int) -> int:
-    mu = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
 def multiplicative_order(a: int, m: int) -> int:
     """Order of a modulo m; requires gcd(a, m) = 1."""
     if m == 1:

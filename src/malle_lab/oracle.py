@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .groups import AbelianGroup, aut_order, make_group
-from .numerics import euler_phi, factorize, primes_up_to, unit_group_components
+from .numerics import euler_phi, primes_up_to, unit_group_components
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -166,21 +166,6 @@ class DirichletCharacter:
             comps.append((p, k_f, _shrink(p, k, exps, k_f)))
         if not dirty:
             return self
-        return DirichletCharacter(tuple(sorted(comps)))
-
-    def induced_mod(self, q: int) -> "DirichletCharacter":
-        """The same character viewed mod q (q a multiple of the conductor)."""
-        prim = self.primitive()
-        if q % prim.conductor:
-            raise ValueError("modulus must be a multiple of the conductor")
-        by_p = {p: (k, exps) for p, k, exps in prim.components}
-        comps = []
-        for p, e in factorize(q):
-            if p in by_p:
-                k, exps = by_p[p]
-                comps.append((p, e, _lift(p, k, exps, e)))
-            else:
-                comps.append((p, e, tuple(0 for _ in _local_orders(p, e))))
         return DirichletCharacter(tuple(sorted(comps)))
 
     def generator_values(self) -> tuple[tuple[int, int], ...]:

@@ -3,10 +3,10 @@
 Counting homomorphisms from the absolute Galois group of Q to an abelian
 group G by absolute discriminant gives a Dirichlet series that is a product
 of local factors.  At a prime p the factor is a polynomial in p^-s whose
-terms are indexed by the possible inertia images: away from |G| these are
-the elements of order dividing p - 1 weighted by their index, while at
-p | |G| the local abelianized Galois group (Z-hat times Z_p^*) is enumerated
-hom by hom, with discriminant exponents from conductor-discriminant.
+terms are indexed by the possible inertia images, pairs of a tame and a
+wild element; by conductor-discriminant the discriminant exponent of a pair
+has a closed form in the element orders, so every factor comes from the
+element-order histogram of G (away from |G| the exponent is the index).
 
 Factoring one cyclotomic zeta per cyclotomic orbit leaves an Euler product
 that converges past the abscissa; that decomposition drives the truncated
@@ -28,10 +28,8 @@ from mpmath import mp
 
 from .groups import (
     AbelianGroup,
-    Element,
     GroupTooLargeError,
     Subgroup,
-    character_angle,
     element_order,
     full_subgroup,
     sieve_terms,
@@ -47,6 +45,7 @@ from .invariants import (
 )
 from .lvalues import dedekind_zeta_residue, dedekind_zeta_value, riemann_zeta_value
 from .numerics import (
+    divisors,
     euler_phi,
     factorize,
     is_prime,
@@ -93,58 +92,6 @@ def _index_of_order(G: AbelianGroup, e: int) -> int:
     return G.order - G.order // e
 
 
-def _wild_pairs(G: AbelianGroup, p: int, allowed: frozenset[Element]):
-    """Inertia homomorphisms at p | |G| as (tame part, wild part) pairs."""
-    elems = tuple(sorted(allowed))
-    if p == 2:
-        tame = [g for g in elems if G.scale(2, g) == G.identity]
-    else:
-        tame = [g for g in elems if G.scale(p - 1, g) == G.identity]
-    wild = [g for g in elems if _is_prime_power_order(G, g, p)]
-    return tame, wild
-
-
-def _is_prime_power_order(G: AbelianGroup, g: Element, p: int) -> bool:
-    o = element_order(G, g)
-    while o % p == 0:
-        o //= p
-    return o == 1
-
-
-def _wild_disc_exponent(G: AbelianGroup, p: int, t: Element, w: Element) -> int:
-    """Sum over dual characters of the local conductor exponent at p."""
-    total = 0
-    for psi in G.elements():
-        tame_trivial = character_angle(G, psi, t) == 0
-        wild_angle = character_angle(G, psi, w)
-        if wild_angle == 0:
-            if tame_trivial:
-                continue
-            total += 1 if p != 2 else 2
-        else:
-            j = wild_angle.denominator
-            v = 0
-            while j % p == 0:
-                j //= p
-                v += 1
-            total += v + (1 if p != 2 else 2)
-    return total
-
-
-def _wild_terms(
-    G: AbelianGroup, p: int, allowed: frozenset[Element]
-) -> tuple[tuple[int, int], ...]:
-    tame, wild = _wild_pairs(G, p, allowed)
-    by_exp: dict[int, int] = {}
-    for t in tame:
-        for w in wild:
-            if t == G.identity and w == G.identity:
-                continue
-            d = _wild_disc_exponent(G, p, t, w)
-            by_exp[d] = by_exp.get(d, 0) + 1
-    return tuple(sorted((c, a) for a, c in by_exp.items()))
-
-
 def local_factor(G: AbelianGroup, p: int) -> LocalFactor:
     """Local Euler factor of the hom-counting series at p."""
     return restricted_local_factor(G, full_subgroup(G), p)
@@ -159,21 +106,56 @@ def restricted_local_factor(G: AbelianGroup, H: Subgroup, p: int) -> LocalFactor
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if G.order % p == 0:
-        return LocalFactor(p, _wild_terms(G, p, H.elements))
-    by_exp: dict[int, int] = {}
-    for e, count in _element_orders(G, H):
-        if (p - 1) % e == 0:
-            ind = _index_of_order(G, e)
-            by_exp[ind] = by_exp.get(ind, 0) + count
-    return LocalFactor(p, tuple(sorted((c, a) for a, c in by_exp.items())))
+    wild = p ** dict(factorize(G.order)).get(p, 0)
+    tame = math.gcd(2 if p == 2 else p - 1, G.exponent)
+    return LocalFactor(p, _local_terms(G, H, wild, tame))
+
+
+@lru_cache(maxsize=None)
+def _local_terms(
+    G: AbelianGroup, H: Subgroup, wild: int, tame: int
+) -> tuple[tuple[int, int], ...]:
+    """Local factor terms at a prime p from the element orders of H.
+
+    Inertia at p maps to a pair (t, w) of elements of H: the tame part t has
+    order dividing ``tame`` (gcd(p - 1, exp G), or 2 at p = 2) and the wild
+    part w order dividing ``wild``, the p-part of |G|.  A character psi of G
+    adds j + c to the discriminant exponent when psi(w) has exact order
+    p^j > 1, and c when psi(w) = 1 but psi(t) != 1, where c = 2 at p = 2
+    and 1 otherwise (conductor-discriminant).  Counting the characters of
+    each kind gives the exponent
+    c (|G| - |G|/|<t, w>|) + sum over 1 < q dividing |w| of (|G| - |G|/q).
+    For p not dividing |G| only w = 0 occurs and this is the index of t, so
+    the terms depend on p only through gcd(p - 1, exp G).
+    """
+    n = G.order
+    at_two = wild % 2 == 0  # p = 2 divides |G| (for odd |G|, t = w = 0 at 2)
+    c = 2 if at_two else 1
+    orders = _element_orders(G, H)
+    pairs = []  # (number of pairs (t, w), order of w, order of <t, w>)
+    if at_two:  # the t in <w> are 0 and, for w != 0, the involution of <w>
+        tame_count = sum(k for o, k in orders if tame % o == 0)
+        for o, k in orders:
+            if wild % o == 0:
+                inside = min(o, 2)
+                pairs += [(k * inside, o, o), (k * (tame_count - inside), o, 2 * o)]
+    else:  # coprime orders: t + w runs once over the elements of H
+        for o, k in orders:
+            w = math.gcd(o, wild)
+            if tame % (o // w) == 0:
+                pairs.append((k, w, o))
+    by_exp: Counter = Counter()
+    for k, w, order in pairs:
+        exponent = c * (n - n // order) + sum(n - n // q for q in divisors(w)[1:])
+        if k and exponent:
+            by_exp[exponent] += k
+    return tuple(sorted((k, a) for a, k in by_exp.items()))
 
 
 @lru_cache(maxsize=None)
 def _element_orders(G: AbelianGroup, H: Subgroup) -> tuple[tuple[int, int], ...]:
-    """(order, number of elements of that order) over the non-identity of H."""
-    counts = Counter(element_order(G, g) for g in H.elements if g != G.identity)
-    return tuple(sorted(counts.items()))
+    """(order, number of elements of that order) over H, the identity included."""
+    return tuple(sorted(Counter(element_order(G, g) for g in H.elements).items()))
 
 
 # -- zeta factorization --------------------------------------------------------
@@ -257,9 +239,9 @@ def _euler_products(G: AbelianGroup, s: Fraction, p_max: int, rows, factor_log=N
     """The one prime loop: a truncated Euler product per row over p <= p_max.
 
     A row is (H, corrections).  Its factor at p is the local factor with
-    inertia restricted to H at u = p^(-s), times (1 - u^(ind f_p))^(k g_p)
-    for each correction (m, ind, k), where p has residue degree f_p and g_p
-    primes in Q(zeta_m).  Yields (mark, p, products) at each checkpoint
+    inertia restricted to H at u = p^(-s), times (1 - u^(ind f_p))^(g_p)
+    for each correction (m, ind), where p has residue degree f_p and g_p
+    primes in Q(zeta_m): the Euler factor at p of 1/zeta_{Q(zeta_m)}(ind s).  Yields (mark, p, products) at each checkpoint
     mark, p being the prime that reached the mark or None once the primes
     ran out; the last products are the whole truncated products.  For a
     one-row call, factor_log receives the first FACTOR_LOG_LIMIT (p, factor).
@@ -270,9 +252,9 @@ def _euler_products(G: AbelianGroup, s: Fraction, p_max: int, rows, factor_log=N
         u = mp.power(mp.root(p, s.denominator), -s.numerator)
         for i, (H, corrections) in enumerate(rows):
             factor = restricted_local_factor(G, H, p).value_at(u)
-            for m, ind, k in corrections:
+            for m, ind in corrections:
                 f_p, g_p = zeta_local_data(m, p)
-                factor *= (1 - u ** (ind * f_p)) ** (k * g_p)
+                factor *= (1 - u ** (ind * f_p)) ** g_p
             prods[i] *= factor
         if factor_log is not None and len(factor_log) < FACTOR_LOG_LIMIT:
             factor_log.append((p, factor))
@@ -306,7 +288,7 @@ def euler_product_truncated(
     dps = dps or precision_digits()
     corrections = ()
     if mode == "residual":
-        corrections = tuple((o.element_order, int(o.weight), 1) for o in orbs)
+        corrections = tuple((o.element_order, int(o.weight)) for o in orbs)
     rows = [(full_subgroup(G), corrections)]
     factor_log: list = []
     with mp.workdps(dps + 10):
@@ -458,7 +440,7 @@ def residue_main_term(
                     zeta_part *= dedekind_zeta_value(
                         o.element_order, Fraction(int(o.weight), a), dps
                     )
-            rows.append((H, tuple((o.element_order, int(o.weight), 1) for o in orbits_in)))
+            rows.append((H, tuple((o.element_order, int(o.weight)) for o in orbits_in)))
             weights.append((mu, zeta_part))
         partials = {
             mark: mp.fsum(mu * z * prod for (mu, z), prod in zip(weights, prods))
@@ -524,7 +506,7 @@ def nonvanishing_limit(
     dps = dps or precision_digits()
     orbs = _disc_orbits(G)
     a = int(min(o.weight for o in orbs))
-    entries = tuple((o.element_order, int(o.weight), 1) for o in orbs)
+    entries = tuple((o.element_order, int(o.weight)) for o in orbs)
 
     def sieve_value(subgroups, corr_lower, corr_upper):
         """Sieve sum with the zeta factors of corr_lower < ind < corr_upper

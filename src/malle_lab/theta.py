@@ -25,7 +25,6 @@ from .invariants import (
     classify_case,
     nonidentity_orbits,
 )
-from .numerics import radical
 
 _PRESET_SLOPES = {"soehne": Fraction(1, 3), "convexity": Fraction(1, 2), "lindelof": Fraction(0)}
 
@@ -264,18 +263,21 @@ def _spf_sieve(n: int) -> list[int]:
     return spf
 
 
-def _divisors_from_spf(n: int, spf: list[int]) -> list[int]:
+def _divisors_and_radical(n: int, spf: list[int]) -> tuple[list[int], int]:
+    """Sorted divisors and the radical of n, from the smallest-prime-factor sieve."""
     divs = [1]
+    rad = 1
     m = n
     while m > 1:
         p = spf[m]
+        rad *= p
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         divs = [d * p**k for d in divs for k in range(e + 1)]
     divs.sort()
-    return divs
+    return divs, rad
 
 
 def _scan_chunk(
@@ -286,7 +288,8 @@ def _scan_chunk(
     for n in range(max(lo, 4), hi):
         if spf[n] == n:
             continue
-        divs = _divisors_from_spf(n, spf)[1:]  # drop 1
+        divs, rad = _divisors_and_radical(n, spf)
+        divs = divs[1:]  # drop 1
         inds = [n - n // e for e in divs]
         a, d2 = inds[0], inds[1]
         classes = [(ind, cn * phi[e]) for e, ind in zip(divs, inds)]
@@ -294,7 +297,7 @@ def _scan_chunk(
         flag_i = num * d2 < den
         case = "none"
         if flag_i:  # otherwise no larger index has theta < 1/d either
-            m = n // radical(n)
+            m = n // rad
             for d in inds[1:]:
                 if num * d >= den:
                     break

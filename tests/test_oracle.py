@@ -64,7 +64,8 @@ class TestCharacters:
         assert conductor(chi) == 9
 
     def test_mod8_lift_of_mod4(self):
-        chi = DirichletCharacter(((2, 2, (1,)),)).induced_mod(8)
+        # -1 -> -1, 5 -> 1: the character mod 4 seen mod 8
+        chi = DirichletCharacter(((2, 3, (1, 0)),))
         assert chi.modulus == 8
         assert conductor(chi) == 4
         assert chi.primitive().modulus == 4

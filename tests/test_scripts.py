@@ -1,4 +1,5 @@
-"""The experiment scripts under scripts/ run end to end and print their JSON."""
+"""The experiment scripts under scripts/ and the benchmark's job runner run
+end to end and print their JSON."""
 
 import json
 import os
@@ -9,13 +10,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(tmp_path, script: str, *args: str) -> str:
+def _run(tmp_path, script: str, *args: str, folder: str = "scripts") -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, str(ROOT / folder / script), *args],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -47,3 +48,17 @@ def test_main_term_regression(tmp_path):
     for row in rows:
         assert set(row) == {"X", "observed", "predicted", "rel_err"}
     assert rows[-1]["X"] == 2000 and rows[-1]["observed"] > 0
+
+
+def test_bench_job_traces_caches(tmp_path):
+    # the tracer reads cache_info() of the caches it names; a traced job
+    # fails if one of them stops being an lru_cache
+    spec = {
+        "id": "t",
+        "call": "cli",
+        "args": ["series", "C2xC2", "--s", "3/2", "--pmax", "200", "--surjective"],
+        "trace": 1,
+    }
+    report = json.loads(_run(tmp_path, "job.py", json.dumps(spec), folder="bench"))
+    assert report["rc"] == 0
+    assert report["layers"]["series.restricted_local_factor.misses"] > 0

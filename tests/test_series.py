@@ -11,6 +11,7 @@ from malle_lab.groups import (
     full_subgroup,
     make_group,
     moebius_subgroup,
+    sieve_terms,
     span,
     subgroup_lattice,
 )
@@ -116,6 +117,61 @@ class TestWildConsistency:
 
     def test_c6_at_three(self):
         assert local_factor(make_group([6]), 3).terms == ((1, 3), (2, 8), (2, 9))
+
+
+def _local_terms_by_characters(G, H, p):
+    """Reference: local factor terms at p | |G| by summing conductor exponents
+    over every character of G, for every (tame, wild) inertia pair in H.
+
+    A character is an exponent tuple k with psi(g) = exp(2 pi i sum k_i g_i / d_i).
+    """
+
+    def angle(psi, g):
+        return sum(Fraction(k * x, d) for k, x, d in zip(psi, g, G.invariant_factors)) % 1
+
+    def is_p_power(g):
+        o = element_order(G, g)
+        while o % p == 0:
+            o //= p
+        return o == 1
+
+    elems = sorted(H.elements)
+    tame = [g for g in elems if G.scale(2 if p == 2 else p - 1, g) == G.identity]
+    wild = [g for g in elems if is_p_power(g)]
+    c = 2 if p == 2 else 1
+    by_exp: dict[int, int] = {}
+    for t in tame:
+        for w in wild:
+            if t == G.identity and w == G.identity:
+                continue
+            exponent = 0
+            for psi in G.elements():
+                wild_angle = angle(psi, w)
+                if wild_angle != 0:
+                    j, v = wild_angle.denominator, 0
+                    while j % p == 0:
+                        j //= p
+                        v += 1
+                    exponent += v + c
+                elif angle(psi, t) != 0:
+                    exponent += c
+            by_exp[exponent] = by_exp.get(exponent, 0) + 1
+    return tuple(sorted((k, a) for a, k in by_exp.items()))
+
+
+class TestClosedFormAgainstCharacters:
+    def test_local_factor(self):
+        for G in all_abelian_groups(32):
+            for p, _ in factorize(G.order):
+                expected = _local_terms_by_characters(G, full_subgroup(G), p)
+                assert local_factor(G, p).terms == expected, (str(G), p)
+
+    def test_restricted_to_sieve_subgroups(self):
+        for G in all_abelian_groups(16):
+            for H, _ in sieve_terms(G):
+                for p, _ in factorize(G.order):
+                    expected = _local_terms_by_characters(G, H, p)
+                    assert restricted_local_factor(G, H, p).terms == expected, (str(G), p)
 
 
 class TestZetaFactorization:

@@ -13,6 +13,7 @@ from malle_lab.invariants import (
     nonvanishing_case,
     weight_spectrum,
 )
+from malle_lab.numerics import factorize
 from malle_lab.theta import (
     SubconvexityModel,
     dual_selmer_size,
@@ -212,6 +213,12 @@ class TestScan:
             ]
             case = next((c for c in cases if c != "none"), "none")
             assert (row.case, row.flag_ii) == (case, case != "none"), n
+
+    def test_leaves_factorize_cache_empty(self):
+        # rad(n) comes from the scan's own sieve, not from the global cache
+        factorize.cache_clear()
+        scan_cyclic(3000)
+        assert factorize.cache_info().currsize == 0
 
     def test_known_families_flag(self):
         # 6M reveals its secondary term for every M coprime to 6; 4M does so
