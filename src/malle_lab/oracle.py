@@ -16,7 +16,7 @@ componentwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -63,38 +63,51 @@ def _local_orders(p: int, k: int) -> tuple[int, ...]:
         if k == 2:
             return (2,)
         return (2, 2 ** (k - 2))
-    return (euler_phi(p**k),)
+    return ((p - 1) * p ** (k - 1),)
 
 
-def _local_conductor(p: int, k: int, exps: tuple[int, ...]) -> int:
-    orders = _local_orders(p, k)
+def _local_invariants(p: int, k: int, exps: tuple[int, ...]) -> tuple[int, int]:
+    """(conductor, order) of the local component with exponents exps mod p^k."""
     if p != 2:
-        (n,) = orders
-        (e,) = exps
-        if e % n == 0:
-            return 1
-        order = n // math.gcd(n, e)
-        v = 0
-        while order % p == 0:
-            order //= p
-            v += 1
-        return p ** (v + 1)
-    if k == 1 or not exps:
-        return 1
-    if k == 2:
-        return 4 if exps[0] % 2 else 1
-    sign, wild = exps
-    w = (2 ** (k - 2)) // math.gcd(2 ** (k - 2), wild)
-    if w == 1:
-        return 4 if sign % 2 else 1
-    return 4 * w
+        n = (p - 1) * p ** (k - 1)
+        order = n // math.gcd(n, exps[0])
+        if order == 1:
+            return 1, 1
+        f = p
+        r = order
+        while r % p == 0:
+            r //= p
+            f *= p
+        return f, order
+    if k == 1:
+        return 1, 1
+    w = 1 if k == 2 else 2 ** (k - 2) // math.gcd(2 ** (k - 2), exps[1])
+    if w > 1:
+        return 4 * w, w
+    return (4, 2) if exps[0] % 2 else (1, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DirichletCharacter:
-    """Finite-order character of (Z/q)^*, stored by prime-power components."""
+    """Finite-order character of (Z/q)^*, stored by prime-power components.
+
+    The conductor and the order are computed once, when the character is
+    built; equality and hashing see only the components.
+    """
 
     components: tuple[tuple[int, int, tuple[int, ...]], ...]
+    _conductor: int = field(init=False, compare=False, repr=False)
+    _order: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        cond = 1
+        order = 1
+        for p, k, exps in self.components:
+            f, o = _local_invariants(p, k, exps)
+            cond *= f
+            order = math.lcm(order, o)
+        object.__setattr__(self, "_conductor", cond)
+        object.__setattr__(self, "_order", order)
 
     @property
     def modulus(self) -> int:
@@ -102,25 +115,18 @@ class DirichletCharacter:
 
     @property
     def conductor(self) -> int:
-        c = 1
-        for p, k, exps in self.components:
-            c *= _local_conductor(p, k, exps)
-        return c
+        return self._conductor
 
     @property
     def order(self) -> int:
-        total = 1
-        for p, k, exps in self.components:
-            for e, n in zip(exps, _local_orders(p, k)):
-                total = math.lcm(total, n // math.gcd(n, e))
-        return total
+        return self._order
 
     def is_trivial(self) -> bool:
         return self.order == 1
 
     def ramified_primes(self) -> tuple[int, ...]:
         return tuple(
-            p for p, k, exps in self.components if _local_conductor(p, k, exps) > 1
+            p for p, k, exps in self.components if _local_invariants(p, k, exps)[0] > 1
         )
 
     def mul(self, other: "DirichletCharacter") -> "DirichletCharacter":
@@ -135,8 +141,7 @@ class DirichletCharacter:
             b = _lift(p, k, exps, k_new)
             orders = _local_orders(p, k_new)
             by_p[p] = (k_new, tuple((x + y) % n for x, y, n in zip(a, b, orders)))
-        comps = tuple(sorted((p, k, exps) for p, (k, exps) in by_p.items()))
-        return DirichletCharacter(comps).primitive()
+        return _primitive_of((p, k, exps) for p, (k, exps) in by_p.items())
 
     def power(self, e: int) -> "DirichletCharacter":
         if e == 1:
@@ -145,28 +150,12 @@ class DirichletCharacter:
         for p, k, exps in self.components:
             orders = _local_orders(p, k)
             comps.append((p, k, tuple((x * e) % n for x, n in zip(exps, orders))))
-        return DirichletCharacter(tuple(comps)).primitive()
+        return _primitive_of(comps)
 
     def primitive(self) -> "DirichletCharacter":
-        comps = []
-        dirty = False
-        for p, k, exps in self.components:
-            f = _local_conductor(p, k, exps)
-            if f == p**k:
-                comps.append((p, k, exps))
-                continue
-            dirty = True
-            if f == 1:
-                continue
-            k_f = 0
-            ff = f
-            while ff > 1:
-                ff //= p
-                k_f += 1
-            comps.append((p, k_f, _shrink(p, k, exps, k_f)))
-        if not dirty:
+        if self._conductor == self.modulus:
             return self
-        return DirichletCharacter(tuple(sorted(comps)))
+        return _primitive_of(self.components)
 
     def generator_values(self) -> tuple[tuple[int, int], ...]:
         """Values on the unit-group generators as (order, exponent) pairs."""
@@ -197,6 +186,38 @@ class DirichletCharacter:
                     a = a * g % f
             table = walked
         return tuple(sorted(table))
+
+
+def _assembled(components: tuple, conductor: int, order: int) -> DirichletCharacter:
+    """A primitive character whose conductor and order the caller already knows."""
+    chi = object.__new__(DirichletCharacter)
+    object.__setattr__(chi, "components", components)
+    object.__setattr__(chi, "_conductor", conductor)
+    object.__setattr__(chi, "_order", order)
+    return chi
+
+
+def _primitive_of(components) -> DirichletCharacter:
+    """The primitive character of the given components, in sorted order."""
+    comps = []
+    cond = 1
+    order = 1
+    for p, k, exps in sorted(components):
+        f, o = _local_invariants(p, k, exps)
+        if f == 1:
+            continue
+        if f != p**k:
+            k_f = 0
+            ff = f
+            while ff > 1:
+                ff //= p
+                k_f += 1
+            exps = _shrink(p, k, exps, k_f)
+            k = k_f
+        comps.append((p, k, exps))
+        cond *= f
+        order = math.lcm(order, o)
+    return _assembled(tuple(comps), cond, order)
 
 
 def _lift(p: int, k_from: int, exps: tuple[int, ...], k_to: int) -> tuple[int, ...]:
@@ -239,12 +260,6 @@ def conductor(chi: DirichletCharacter) -> int:
     return chi.conductor
 
 
-@lru_cache(maxsize=None)
-def _char_power(chi: DirichletCharacter, e: int) -> DirichletCharacter:
-    return chi.power(e)
-
-
-@lru_cache(maxsize=None)
 def _local_primitive_atoms(p: int, k: int, e: int) -> tuple[DirichletCharacter, ...]:
     """Primitive characters mod p^k of order dividing e."""
     out: list[DirichletCharacter] = []
@@ -253,7 +268,7 @@ def _local_primitive_atoms(p: int, k: int, e: int) -> tuple[DirichletCharacter, 
         g = math.gcd(n, e)
         for t in range(1, g):
             exps = (n // g * t,)
-            if _local_conductor(p, k, exps) == p**k:
+            if _local_invariants(p, k, exps)[0] == p**k:
                 out.append(DirichletCharacter(((p, k, exps),)))
     elif k == 2:
         if e % 2 == 0:
@@ -271,40 +286,56 @@ def _local_primitive_atoms(p: int, k: int, e: int) -> tuple[DirichletCharacter, 
     return tuple(out)
 
 
-def characters_up_to(e: int, f_max: int) -> list[DirichletCharacter]:
+def characters_up_to(e: int, f_max: int, budget: int | None = None) -> list[DirichletCharacter]:
     """All primitive nontrivial characters of order dividing e, conductor <= f_max.
 
     Built multiplicatively from prime-power atoms; the result is sorted by
-    conductor with deterministic tie order.
+    conductor with deterministic tie order.  With a budget, building more
+    than that many characters raises BudgetExceededError; the atoms of a
+    prime are made only when the enumeration first reaches it, so an
+    oversized request stops before it allocates much.
     """
     if e < 1 or f_max < 1:
         raise ValueError("order and conductor bounds must be positive")
+    primes = iter(primes_up_to(f_max))
     atoms_by_p: list[tuple[int, list[DirichletCharacter]]] = []
-    for p in primes_up_to(f_max):
-        local: list[DirichletCharacter] = []
-        k = 1
-        while p**k <= f_max:
-            local.extend(_local_primitive_atoms(p, k, e))
-            k += 1
-        if local:
-            local.sort(key=lambda chi: chi.conductor)
-            atoms_by_p.append((p, local))
+
+    def atoms_at(i: int) -> tuple[int, list[DirichletCharacter]] | None:
+        """The i-th prime that carries atoms, with its atoms by conductor."""
+        while len(atoms_by_p) <= i:
+            p = next(primes, None)
+            if p is None:
+                return None
+            local: list[DirichletCharacter] = []
+            k = 1
+            while p**k <= f_max:
+                local.extend(_local_primitive_atoms(p, k, e))
+                k += 1
+            if local:
+                local.sort(key=lambda chi: chi.conductor)
+                atoms_by_p.append((p, local))
+        return atoms_by_p[i]
+
     out: list[DirichletCharacter] = []
 
-    def extend(start: int, comps: tuple, cond: int) -> None:
+    def extend(start: int, comps: tuple, cond: int, order: int) -> None:
         if cond > 1:
-            out.append(DirichletCharacter(comps))
-        for i in range(start, len(atoms_by_p)):
-            p, local = atoms_by_p[i]
+            if budget is not None and len(out) >= budget:
+                raise BudgetExceededError(f"character pool exceeded {budget} characters")
+            out.append(_assembled(comps, cond, order))
+        i = start
+        while (entry := atoms_at(i)) is not None:
+            p, local = entry
             if cond * p > f_max:
                 break
             for atom in local:
                 c = cond * atom.conductor
                 if c > f_max:
                     break
-                extend(i + 1, comps + atom.components, c)
+                extend(i + 1, comps + atom.components, c, math.lcm(order, atom.order))
+            i += 1
 
-    extend(0, (), 1)
+    extend(0, (), 1, 1)
     out.sort(key=lambda chi: (chi.conductor, chi.components))
     return out
 
@@ -381,40 +412,48 @@ def count_surjections(
     if not factors:
         return CountReport(G, x_bound, ordering, 1, 1, ((1, 1),) if histogram else None)
 
-    pools: dict[int, list[DirichletCharacter]] = {}
-    for d in sorted(set(factors)):
+    # every pool character counts as a node, so an oversized request stops
+    # while its pool is built; a pool entry holds chi, chi^2, ..., chi^(d-1)
+    nodes = 0
+    pools: dict[int, list[tuple[DirichletCharacter, ...]]] = {}
+    phis = {d: euler_phi(d) for d in factors}
+    for d in sorted(phis):
         if ordering == "disc":
-            f_cap = _integer_root(x_bound, euler_phi(d))
+            f_cap = _integer_root(x_bound, phis[d])
         else:
             # order-d characters ramified within {p : p | ram} have conductor
             # at most ram * d * 2 (one extra power of p per p | d, two at 2)
             f_cap = 2 * d * x_bound
-        pools[d] = [chi for chi in characters_up_to(d, f_cap) if chi.order == d]
+        chars = characters_up_to(d, f_cap, budget=node_budget - nodes)
+        nodes += len(chars)
+        pools[d] = [(chi, *map(chi.power, range(2, d))) for chi in chars if chi.order == d]
 
     levels = _dual_levels(factors)
     hist: dict[int, int] = {}
     count = 0
-    nodes = 0
 
     def level_invariant(
-        images: list[DirichletCharacter], i: int
+        images: list[tuple[DirichletCharacter, ...]], i: int
     ) -> tuple[int, frozenset[int]] | None:
         """(conductor product, ramified primes) over dual elements at level i."""
         value = 1
         primes: set[int] = set()
         for exps in levels[i]:
             img = TRIVIAL_CHARACTER
-            for chi, e in zip(images, exps):
+            for powers, e in zip(images, exps):
                 if e:
-                    part = _char_power(chi, e)
+                    part = powers[e - 1]
                     img = part if img.is_trivial() else img.mul(part)
             if img.is_trivial():
                 return None  # fails injectivity
             value *= img.conductor
-            primes.update(img.ramified_primes())
+            if ordering == "ram":
+                primes.update(img.ramified_primes())
         return value, frozenset(primes)
 
-    def walk(i: int, images: list[DirichletCharacter], disc: int, primes: frozenset[int]) -> None:
+    def walk(
+        i: int, images: list[tuple[DirichletCharacter, ...]], disc: int, primes: frozenset[int]
+    ) -> None:
         nonlocal count, nodes
         if i == len(factors):
             inv = disc if ordering == "disc" else math.prod(sorted(primes)) if primes else 1
@@ -424,14 +463,14 @@ def count_surjections(
                     hist[inv] = hist.get(inv, 0) + 1
             return
         d_i = factors[i]
-        phi_d = euler_phi(d_i)
-        for chi in pools[d_i]:
+        phi_d = phis[d_i]
+        for powers in pools[d_i]:
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
-            if ordering == "disc" and disc * chi.conductor**phi_d > x_bound:
+            if ordering == "disc" and disc * powers[0].conductor**phi_d > x_bound:
                 break  # pools are sorted by conductor
-            extended = images + [chi]
+            extended = images + [powers]
             got = level_invariant(extended, i)
             if got is None:
                 continue

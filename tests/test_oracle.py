@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
 
 from malle_lab.groups import make_group
-from malle_lab.numerics import euler_phi, unit_group_components
+from malle_lab.numerics import euler_phi, factorize, unit_group_components
 from malle_lab.oracle import (
     BudgetExceededError,
     DirichletCharacter,
@@ -81,6 +82,88 @@ class TestCharacters:
         chi = DirichletCharacter(((3, 1, (1,)), (7, 1, (2,))))
         values = chi.generator_values()
         assert values == ((2, 1), (6, 2))
+
+
+def _reference_invariants(components) -> tuple[int, int]:
+    """(conductor, order) from the definitions, component by component.
+
+    A character mod p^k is trivial on the units = 1 mod p^j (j >= 1 for odd
+    p, j >= 2 at 2) iff it kills their generator: g^((p - 1) p^(j - 1)) for
+    a primitive root g, or 5^(2^(j - 2)) at 2.  The local conductor is p^j
+    for the least such j, and 1 for the trivial character.
+    """
+    conductor = order = 1
+    for p, k, exps in components:
+        if p != 2:
+            orders = (euler_phi(p**k),)
+        else:
+            orders = ((), (2,), (2, 2 ** (k - 2)))[min(k, 3) - 1]
+        local_order = 1
+        for e, n in zip(exps, orders):
+            local_order = math.lcm(local_order, n // math.gcd(n, e))
+        order = math.lcm(order, local_order)
+        if local_order == 1:
+            continue
+        if p != 2:
+            n, e = orders[0], exps[0]
+            j = next(j for j in range(1, k + 1) if e * (p - 1) * p ** (j - 1) % n == 0)
+        else:
+            j = next(
+                j for j in range(2, k + 1)
+                if k == 2 or exps[1] * 2 ** (j - 2) % orders[1] == 0
+            )
+        conductor *= p**j
+    return conductor, order
+
+
+def _characters_mod(q: int) -> list[DirichletCharacter]:
+    """Every character mod q, primitive or not, stored on modulus q."""
+    comps = unit_group_components(q)
+    rows: list[tuple[int, int, list[range]]] = []
+    for p, pk, _, order in comps:
+        if rows and rows[-1][0] == p:
+            rows[-1][2].append(range(order))
+        else:
+            rows.append((p, next(k for k in range(1, pk) if p**k == pk), [range(order)]))
+    per_p = [
+        [(p, k, exps) for exps in product(*ranges)] for p, k, ranges in rows
+    ]
+    return [DirichletCharacter(c) for c in product(*per_p)]
+
+
+class TestStoredInvariants:
+    @pytest.mark.parametrize("e", [2, 3, 4, 6, 8, 12])
+    def test_pool_and_powers_match_the_definitions(self, e):
+        chars = characters_up_to(e, 2000)
+        assert chars
+        for chi in chars:
+            assert (chi.conductor, chi.order) == _reference_invariants(chi.components)
+            assert chi.conductor == chi.modulus and chi.primitive() is chi
+            for j in (2, 3, e - 1):
+                power = chi.power(j)
+                assert (power.conductor, power.order) == _reference_invariants(
+                    power.components
+                )
+
+    @pytest.mark.parametrize("q", [16, 36, 40])
+    def test_products_match_the_definitions(self, q):
+        chars = _characters_mod(q)
+        assert len(chars) == euler_phi(q)
+        for chi in chars:
+            assert (chi.conductor, chi.order) == _reference_invariants(chi.components)
+            for psi in chars:
+                prod = chi.mul(psi)
+                assert (prod.conductor, prod.order) == _reference_invariants(prod.components)
+                assert prod.conductor == prod.modulus
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 6, 8, 12])
+    def test_equal_components_are_one_character(self, e):
+        chars = characters_up_to(e, 2000)
+        rebuilt = [DirichletCharacter(chi.components) for chi in chars]
+        for chi, twin in zip(chars, rebuilt):
+            assert chi == twin and hash(chi) == hash(twin)
+            assert (chi.conductor, chi.order) == (twin.conductor, twin.order)
+        assert len(set(chars) | set(rebuilt)) == len(chars)
 
 
 class TestCharactersUpTo:
@@ -179,3 +262,22 @@ class TestCounting:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             count_surjections(make_group([2]), 10**5, node_budget=100)
+
+    def test_budget_stops_the_pool_build(self):
+        # the full pool would hold 608k characters; the budget stops its
+        # build after 10k
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                count_surjections(make_group([2]), 10**6, node_budget=10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+
+    def test_leaves_factorize_cache_empty(self):
+        # local orders come from the closed form (p - 1) p^(k - 1), so the
+        # pool build does not factor one prime power per atom
+        factorize.cache_clear()
+        count_surjections(make_group([2]), 20000)
+        assert factorize.cache_info().currsize < 10
