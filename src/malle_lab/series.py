@@ -14,6 +14,13 @@ evaluations, the leading-term residue estimate, the subgroup-lattice sieve
 to surjections, and the sign checks for lower order terms.  All four run
 their Euler products through one prime loop, ``_euler_products``: one row
 per subgroup restricting inertia, each row with its own zeta corrections.
+
+A row's factor at p is an integer polynomial in u = p^-s that depends on p
+only through p mod exp(G): a prime dividing |G| is alone in its class, and
+for every other prime the wild part is trivial while the tame part
+gcd(p - 1, exp G) and the splitting of p in each Q(zeta_m), m | exp(G), are
+fixed by p mod exp(G).  So the loop builds each row's polynomial once per
+class, and per prime evaluates each distinct polynomial of its class once.
 """
 
 from __future__ import annotations
@@ -235,27 +242,78 @@ def _checkpoint_set(p_max: int) -> list[int]:
     return marks
 
 
+def _class_key(G: AbelianGroup, p: int) -> int:
+    """p mod exp(G), the class of p (see the module docstring).
+
+    p = 2 with exp(G) odd shares its class: its tame part gcd(2, exp G) = 1
+    is that of every p = 2 mod exp(G), and its splitting in Q(zeta_m) is
+    fixed by 2 mod m as for any p not dividing m.
+    """
+    return p % G.exponent
+
+
+def _row_polynomial(G: AbelianGroup, H: Subgroup, corrections, p: int) -> LocalFactor:
+    """A row's Euler factor at p as an exact integer polynomial in u = p^(-s).
+
+    The polynomial (1 + sum c u^a) * prod (1 - u^(ind f_p))^(g_p) is
+    returned as a ``LocalFactor`` at p; it is the factor of every prime of
+    p's class (``_class_key``).
+    """
+    coeffs = [1]
+    for c, a in restricted_local_factor(G, H, p).terms:
+        coeffs += [0] * (a + 1 - len(coeffs))
+        coeffs[a] += c
+    for m, ind in corrections:
+        f_p, g_p = zeta_local_data(m, p)
+        n = ind * f_p
+        for _ in range(g_p):
+            coeffs += [0] * n
+            for k in range(len(coeffs) - 1, n - 1, -1):
+                coeffs[k] -= coeffs[k - n]
+    return LocalFactor(p, tuple((c, k) for k, c in enumerate(coeffs) if c and k))
+
+
+def _class_plan(G: AbelianGroup, rows, p: int):
+    """((factor, row indices), ...): each distinct ``_row_polynomial`` at p once."""
+    plan: dict = {}
+    for i, (H, corrections) in enumerate(rows):
+        plan.setdefault(_row_polynomial(G, H, corrections, p), []).append(i)
+    return tuple(plan.items())
+
+
 def _euler_products(G: AbelianGroup, s: Fraction, p_max: int, rows, factor_log=None):
     """The one prime loop: a truncated Euler product per row over p <= p_max.
 
     A row is (H, corrections).  Its factor at p is the local factor with
     inertia restricted to H at u = p^(-s), times (1 - u^(ind f_p))^(g_p)
     for each correction (m, ind), where p has residue degree f_p and g_p
-    primes in Q(zeta_m): the Euler factor at p of 1/zeta_{Q(zeta_m)}(ind s).  Yields (mark, p, products) at each checkpoint
-    mark, p being the prime that reached the mark or None once the primes
-    ran out; the last products are the whole truncated products.  For a
-    one-row call, factor_log receives the first FACTOR_LOG_LIMIT (p, factor).
+    primes in Q(zeta_m): the Euler factor at p of 1/zeta_{Q(zeta_m)}(ind s).
+    That factor is an integer polynomial in u which depends on p only
+    through its class p mod exp(G) (``_class_key``): a prime dividing |G|
+    is alone in its class, and for the others p mod exp(G) fixes the tame
+    part gcd(p - 1, exp G) and every f_p and g_p.  The first prime of a
+    class builds each row's polynomial; every prime evaluates each distinct
+    polynomial of its class once and multiplies it into the rows that
+    share it.
+
+    Yields (mark, p, products) at each checkpoint mark, p being the prime
+    that reached the mark or None once the primes ran out; the last
+    products are the whole truncated products.  For a one-row call,
+    factor_log receives the first FACTOR_LOG_LIMIT (p, factor).
     """
     prods = [mp.mpf(1)] * len(rows)
     marks = _checkpoint_set(p_max)
+    plans: dict = {}
     for p in primes_up_to(p_max):
+        key = _class_key(G, p)
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = _class_plan(G, rows, p)
         u = mp.power(mp.root(p, s.denominator), -s.numerator)
-        for i, (H, corrections) in enumerate(rows):
-            factor = restricted_local_factor(G, H, p).value_at(u)
-            for m, ind in corrections:
-                f_p, g_p = zeta_local_data(m, p)
-                factor *= (1 - u ** (ind * f_p)) ** g_p
-            prods[i] *= factor
+        for poly, indices in plan:
+            factor = poly.value_at(u)
+            for i in indices:
+                prods[i] *= factor
         if factor_log is not None and len(factor_log) < FACTOR_LOG_LIMIT:
             factor_log.append((p, factor))
         while marks and p >= marks[0]:
@@ -336,7 +394,10 @@ def series_coefficients(
 
 
 def _factor_terms(G: AbelianGroup, H: Subgroup, n_max: int) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Local factor terms (restricted to inertia in H) for every usable prime."""
+    """Local factor terms (restricted to inertia in H) for every usable prime.
+
+    The terms are looked up once per ``_class_key`` class of primes.
+    """
     out: dict[int, tuple[tuple[int, int], ...]] = {}
     min_ind = min(
         (_index_of_order(G, element_order(G, g)) for g in H.elements if g != G.identity),
@@ -345,11 +406,14 @@ def _factor_terms(G: AbelianGroup, H: Subgroup, n_max: int) -> dict[int, tuple[t
     if min_ind is None:
         return out
     wild = [p for p, _ in factorize(G.order)]
+    by_class: dict[int, tuple[tuple[int, int], ...]] = {}
     for p in primes_up_to(n_max):
         if p not in wild and p**min_ind > n_max:
             continue
-        terms = restricted_local_factor(G, H, p).terms
-        terms = tuple((c, a) for c, a in terms if p**a <= n_max)
+        key = _class_key(G, p)
+        if key not in by_class:
+            by_class[key] = restricted_local_factor(G, H, p).terms
+        terms = tuple((c, a) for c, a in by_class[key] if p**a <= n_max)
         if terms:
             out[p] = terms
     return out
@@ -508,25 +572,28 @@ def nonvanishing_limit(
     a = int(min(o.weight for o in orbs))
     entries = tuple((o.element_order, int(o.weight)) for o in orbs)
 
-    def sieve_value(subgroups, corr_lower, corr_upper):
-        """Sieve sum with the zeta factors of corr_lower < ind < corr_upper
-        divided out, one cyclotomic zeta factor per orbit."""
-        corrections = tuple(e for e in entries if corr_lower < e[1] < corr_upper)
-        rows = [(H, corrections) for H, _ in subgroups]
+    def sieve_values(*parts):
+        """One Moebius sum per part (subgroups, corr_lower, corr_upper), all in
+        one prime loop; a part's rows divide out the zeta factors of
+        corr_lower < ind < corr_upper, one cyclotomic zeta factor per orbit."""
+        rows, weights = [], []
+        for j, (subgroups, corr_lower, corr_upper) in enumerate(parts):
+            corrections = tuple(e for e in entries if corr_lower < e[1] < corr_upper)
+            rows += [(H, corrections) for H, _ in subgroups]
+            weights += [(j, mu) for _, mu in subgroups]
         return {
-            mark: mp.fsum(mu * prod for (_, mu), prod in zip(subgroups, prods))
+            mark: [
+                mp.fsum(mu * prod for (part, mu), prod in zip(weights, prods) if part == j)
+                for j in range(len(parts))
+            ]
             for mark, _, prods in _euler_products(G, Fraction(1, d), p_max, rows)
         }
 
     with mp.workdps(dps + 10):
-        if case in ("case_i", "case_ii"):
-            partial = sieve_value(sieve_terms(G), Fraction(0), Fraction(d))
-            checkpoints = tuple(sorted(partial.items()))
-        elif case == "case_iv":
-            partial = sieve_value(
-                ((full_subgroup(G), 1),), Fraction(0), Fraction(d)
-            )
-            checkpoints = tuple(sorted(partial.items()))
+        if case in ("case_i", "case_ii", "case_iv"):
+            subgroups = ((full_subgroup(G), 1),) if case == "case_iv" else sieve_terms(G)
+            partial = sieve_values((subgroups, 0, d))
+            checkpoints = tuple((m, v) for m, (v,) in sorted(partial.items()))
         else:  # case_iii: split at the 2-torsion subgroup
             two = frozenset(
                 g for g in G.elements() if G.scale(2, g) == G.identity
@@ -535,10 +602,10 @@ def nonvanishing_limit(
             without_two = tuple(
                 (H, mu) for H, mu in sieve_terms(G) if not two <= H.elements
             )
-            s_plus = sieve_value(with_two, Fraction(0), Fraction(d))
-            s_minus = sieve_value(without_two, Fraction(a), Fraction(d))
+            partial = sieve_values((with_two, 0, d), (without_two, a, d))
             zeta_at = riemann_zeta_value(Fraction(a, d), dps)
             checkpoints = tuple(
-                (m, zeta_at * s_plus[m] + s_minus[m]) for m in sorted(s_plus)
+                (m, zeta_at * s_plus + s_minus)
+                for m, (s_plus, s_minus) in sorted(partial.items())
             )
     return NonvanishingReport(G, d, case, p_max, checkpoints)

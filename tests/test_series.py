@@ -19,6 +19,7 @@ from malle_lab.invariants import GaloisActionSpec, WeightFn, b_d, weight_spectru
 from malle_lab.series import (
     DivergenceError,
     UnsupportedCaseError,
+    _euler_products,
     euler_product_truncated,
     local_factor,
     nonvanishing_limit,
@@ -243,6 +244,44 @@ class TestEulerProduct:
                         f_p, g_p = zeta_local_data(m_o, p)
                         factor *= (1 - u ** (ind_o * f_p)) ** g_p
                     assert abs(factor - 1) < 60 / p**2
+
+    def test_class_kernel_matches_per_prime_product(self):
+        # the kernel builds one polynomial per class of primes; the reference
+        # multiplies each prime's own local factor and zeta corrections
+        p_max = 600  # includes p = 2 and every p | |G|
+        for factors in ([3], [4], [6], [2, 2], [2, 4], [2, 2, 2]):
+            G = make_group(factors)
+            entries = zeta_factorization(G).entries
+            a = min(ind for _, ind in entries)
+            rows = [(H, corrections) for H, _ in sieve_terms(G) for corrections in ((), entries)]
+            for s in (Fraction(1, a), Fraction(3, 4 * a)):
+                with mp.workdps(60):
+                    *_, (_, _, prods) = _euler_products(G, s, p_max, rows)
+                    for (H, corrections), prod in zip(rows, prods):
+                        expected = mp.mpf(1)
+                        for p in primes_up_to(p_max):
+                            u = mp.power(mp.root(p, s.denominator), -s.numerator)
+                            factor = restricted_local_factor(G, H, p).value(s)
+                            for m, ind in corrections:
+                                f_p, g_p = zeta_local_data(m, p)
+                                factor *= (1 - u ** (ind * f_p)) ** g_p
+                            expected *= factor
+                        assert abs(prod / expected - 1) < mp.mpf("1e-45"), (str(G), s, H.order)
+
+    def test_caches_hold_one_entry_per_row_and_class(self):
+        cases = (
+            (make_group([2]), 20000, lambda G, p_max: residue_main_term(G, p_max)),
+            (make_group([2, 2, 4]), 2000,
+             lambda G, p_max: sieve_to_surjective(G, Fraction(1, 5), p_max)),
+        )
+        for G, p_max, run in cases:
+            restricted_local_factor.cache_clear()
+            zeta_local_data.cache_clear()
+            run(G, p_max)
+            classes = {p % G.exponent for p in primes_up_to(p_max)}
+            bound = len(sieve_terms(G)) * len(classes)
+            assert restricted_local_factor.cache_info().currsize <= bound
+            assert zeta_local_data.cache_info().currsize <= bound
 
 
 class TestSieve:
