@@ -12,7 +12,6 @@ from .groups import (
     make_group,
     moebius_subgroup,
     parse_group_literal,
-    subgroup_lattice,
 )
 from .invariants import (
     GaloisActionSpec,

@@ -4,11 +4,9 @@ Elements are residue tuples, subgroups are explicit element sets, and the
 subgroup poset carries a Moebius function (P. Hall's closed form) used by
 the surjection sieve.  The sieve needs only the subgroups containing the
 Frattini subgroup Phi(G); they are built directly as the preimages of the
-subspaces of G/Phi(G), a product over p of F_p^(r_p).  ``subgroup_lattice``
-finds every subgroup by a BFS over spans and is kept as the reference the
-tests compare against.  Groups are fully enumerated below a configurable
-cap; large groups beyond the cap are only touched through divisor
-arithmetic elsewhere.
+subspaces of G/Phi(G), a product over p of F_p^(r_p).  Groups are fully
+enumerated below a configurable cap; large groups beyond the cap are only
+touched through divisor arithmetic elsewhere.
 """
 
 from __future__ import annotations
@@ -166,30 +164,6 @@ def span(G: AbelianGroup, gens: tuple[Element, ...]) -> Subgroup:
     return Subgroup(G, frozenset(seen), gens)
 
 
-@lru_cache(maxsize=None)
-def subgroup_lattice(G: AbelianGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup exactly once, sorted by (order, element list)."""
-    elems = _elements(G)
-    trivial = frozenset({G.identity})
-    found: dict[frozenset, tuple[Element, ...]] = {trivial: ()}
-    frontier = [trivial]
-    while frontier:
-        new: list[frozenset] = []
-        for hset in frontier:
-            gens = found[hset]
-            for g in elems:
-                if g in hset:
-                    continue
-                extended = span(G, gens + (g,)).elements
-                if extended not in found:
-                    found[extended] = gens + (g,)
-                    new.append(extended)
-        frontier = new
-    subs = [Subgroup(G, hset, gens) for hset, gens in found.items()]
-    subs.sort(key=lambda H: (H.order, H.sorted_elements()))
-    return tuple(subs)
-
-
 def full_subgroup(G: AbelianGroup) -> Subgroup:
     return Subgroup(G, frozenset(_elements(G)), G.basis())
 
@@ -277,8 +251,7 @@ def sieve_terms(G: AbelianGroup) -> tuple[tuple[Subgroup, int], ...]:
     """Subgroups with nonzero Moebius weight, i.e. those containing Frattini.
 
     They are the preimages of the subspaces of G/Frattini(G), one span per
-    choice of a subspace for every prime, sorted by (order, element list)
-    as in ``subgroup_lattice``.
+    choice of a subspace for every prime, sorted by (order, element list).
     """
     _check_cap(G)
     phi = frattini(G).generators

@@ -37,6 +37,18 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+def integer_root(x: int, k: int) -> int:
+    """Largest r with r^k <= x."""
+    if k == 1:
+        return x
+    r = int(round(x ** (1.0 / k)))
+    while r**k > x:
+        r -= 1
+    while (r + 1) ** k <= x:
+        r += 1
+    return r
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .groups import AbelianGroup, aut_order, make_group
-from .numerics import euler_phi, primes_up_to, unit_group_components
+from .numerics import euler_phi, integer_root, primes_up_to, unit_group_components
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -365,18 +365,6 @@ class CountReport:
         return out
 
 
-def _integer_root(x: int, k: int) -> int:
-    """Largest r with r^k <= x."""
-    if k == 1:
-        return x
-    r = int(round(x ** (1.0 / k)))
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
-
-
 @lru_cache(maxsize=None)
 def _dual_levels(factors: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Nonzero dual exponent tuples grouped by their last nonzero coordinate."""
@@ -401,8 +389,9 @@ def count_surjections(
 
     Images of the dual-group generators run over Dirichlet characters of
     exact order d_i (injectivity on the i-th cyclic piece demands that), the
-    partial discriminant over the dual elements seen so far prunes the tree,
-    and full injectivity is checked on every nonzero dual element.
+    partial invariant of the images chosen so far prunes the tree (for ram
+    before any character product is formed), and full injectivity is checked
+    on every nonzero dual element.
     """
     if x_bound < 1:
         raise ValueError("the bound must be at least 1")
@@ -413,13 +402,16 @@ def count_surjections(
         return CountReport(G, x_bound, ordering, 1, 1, ((1, 1),) if histogram else None)
 
     # every pool character counts as a node, so an oversized request stops
-    # while its pool is built; a pool entry holds chi, chi^2, ..., chi^(d-1)
+    # while its pool is built; a pool entry holds chi, chi^2, ..., chi^(d-1).
+    # Disc pools stay sorted by conductor; ram pools are sorted by the
+    # product of the ramified primes of chi, kept alongside in rads[d].
     nodes = 0
     pools: dict[int, list[tuple[DirichletCharacter, ...]]] = {}
+    rads: dict[int, list[int]] = {}
     phis = {d: euler_phi(d) for d in factors}
     for d in sorted(phis):
         if ordering == "disc":
-            f_cap = _integer_root(x_bound, phis[d])
+            f_cap = integer_root(x_bound, phis[d])
         else:
             # order-d characters ramified within {p : p | ram} have conductor
             # at most ram * d * 2 (one extra power of p per p | d, two at 2)
@@ -427,17 +419,22 @@ def count_surjections(
         chars = characters_up_to(d, f_cap, budget=node_budget - nodes)
         nodes += len(chars)
         pools[d] = [(chi, *map(chi.power, range(2, d))) for chi in chars if chi.order == d]
+        if ordering == "ram":
+            keyed = sorted(
+                ((math.prod(powers[0].ramified_primes()), powers) for powers in pools[d]),
+                key=lambda entry: entry[0],
+            )
+            rads[d] = [rad for rad, _ in keyed]
+            pools[d] = [powers for _, powers in keyed]
 
     levels = _dual_levels(factors)
     hist: dict[int, int] = {}
     count = 0
 
-    def level_invariant(
-        images: list[tuple[DirichletCharacter, ...]], i: int
-    ) -> tuple[int, frozenset[int]] | None:
-        """(conductor product, ramified primes) over dual elements at level i."""
+    def level_conductors(images: list[tuple[DirichletCharacter, ...]], i: int) -> int | None:
+        """Conductor product over the dual elements at level i; None if one
+        of them maps to the trivial character (injectivity fails)."""
         value = 1
-        primes: set[int] = set()
         for exps in levels[i]:
             img = TRIVIAL_CHARACTER
             for powers, e in zip(images, exps):
@@ -445,48 +442,48 @@ def count_surjections(
                     part = powers[e - 1]
                     img = part if img.is_trivial() else img.mul(part)
             if img.is_trivial():
-                return None  # fails injectivity
+                return None
             value *= img.conductor
-            if ordering == "ram":
-                primes.update(img.ramified_primes())
-        return value, frozenset(primes)
+        return value
 
-    def walk(
-        i: int, images: list[tuple[DirichletCharacter, ...]], disc: int, primes: frozenset[int]
-    ) -> None:
+    def walk(i: int, images: list[tuple[DirichletCharacter, ...]], inv: int) -> None:
+        """inv is the discriminant of the images so far (disc), or the product
+        of their ramified primes (ram).  The ramified primes of every dual
+        element's image lie in those of the generator images, so the ram
+        invariant of a tuple is the lcm of the generators' prime products."""
         nonlocal count, nodes
         if i == len(factors):
-            inv = disc if ordering == "disc" else math.prod(sorted(primes)) if primes else 1
-            if inv <= x_bound:
-                count += 1
-                if histogram:
-                    hist[inv] = hist.get(inv, 0) + 1
+            count += 1
+            if histogram:
+                hist[inv] = hist.get(inv, 0) + 1
             return
         d_i = factors[i]
         phi_d = phis[d_i]
-        for powers in pools[d_i]:
+        for j, powers in enumerate(pools[d_i]):
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
-            if ordering == "disc" and disc * powers[0].conductor**phi_d > x_bound:
-                break  # pools are sorted by conductor
-            extended = images + [powers]
-            got = level_invariant(extended, i)
-            if got is None:
-                continue
-            value, new_primes = got
             if ordering == "disc":
-                new_disc = disc * value
-                if new_disc > x_bound:
-                    continue
-                walk(i + 1, extended, new_disc, primes)
+                if inv * powers[0].conductor**phi_d > x_bound:
+                    break  # pools are sorted by conductor
             else:
-                merged = primes | new_primes
-                if math.prod(sorted(merged)) > x_bound:
+                rad = rads[d_i][j]
+                if rad > x_bound:
+                    break  # ram pools are sorted by that product
+                new_inv = math.lcm(inv, rad)
+                if new_inv > x_bound:
                     continue
-                walk(i + 1, extended, 1, merged)
+            extended = images + [powers]
+            value = level_conductors(extended, i)
+            if value is None:
+                continue
+            if ordering == "disc":
+                new_inv = inv * value
+                if new_inv > x_bound:
+                    continue
+            walk(i + 1, extended, new_inv)
 
-    walk(0, [], 1, frozenset())
+    walk(0, [], 1)
     aut = aut_order(G)
     assert count % aut == 0, "surjection count must be divisible by |Aut(G)|"
     hist_out = tuple(sorted(hist.items())) if histogram else None

@@ -21,11 +21,25 @@ for every other prime the wild part is trivial while the tame part
 gcd(p - 1, exp G) and the splitting of p in each Q(zeta_m), m | exp(G), are
 fixed by p mod exp(G).  So the loop builds each row's polynomial once per
 class, and per prime evaluates each distinct polynomial of its class once.
+
+The exact Dirichlet coefficients come from the same factors.  They are
+multiplicative, so ``series_coefficients`` keeps them in one list over
+n <= n_max, and each prime p makes one pass over it, n descending, adding
+c v[n] to v[n p^a] for every term c p^(-a s) with n p^a <= n_max; the cost
+is the sum over p of n_max / p^a_min, not the number of primes times the
+number of nonzero coefficients.  Every exponent is at least the least index
+min_ind of a nontrivial element of the inertia subgroup, so a call sieves
+the primes once, and a row uses only those up to the min_ind-th root of
+n_max.  A row's factors depend on its subgroup only through the
+element-order histogram, so the surjection sieve makes one pass per
+histogram with the summed Moebius weight and skips the sums that vanish:
+the 2,825 sieve rows of C2^6 give 7 histograms.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +69,7 @@ from .numerics import (
     divisors,
     euler_phi,
     factorize,
+    integer_root,
     is_prime,
     multiplicative_order,
     precision_digits,
@@ -362,61 +377,77 @@ def euler_product_truncated(
 # -- Dirichlet coefficients --------------------------------------------------
 
 
-def _coefficients_for_factors(factors: dict[int, tuple[tuple[int, int], ...]], n_max: int) -> dict[int, int]:
-    coeffs = {1: 1}
-    for p, terms in sorted(factors.items()):
-        snapshot = list(coeffs.items())
-        for c, a in terms:
-            pa = p**a
-            if pa > n_max:
-                continue
-            for n, v in snapshot:
-                m = n * pa
-                if m <= n_max:
-                    coeffs[m] = coeffs.get(m, 0) + c * v
-    return coeffs
-
-
 def series_coefficients(
     G: AbelianGroup, n_max: int, surjective: bool = False
 ) -> dict[int, int]:
-    """Exact coefficients up to n_max: counts of homs (or surjections) by |disc|."""
+    """Exact coefficients up to n_max: counts of homs (or surjections) by |disc|.
+
+    The sieve rows are grouped by their element-order histogram, which fixes
+    every local factor, and each group with a nonzero Moebius sum runs one
+    ``_add_coefficients`` pass (see the module docstring).
+    """
     if n_max > COEFFICIENT_CAP:
         raise GroupTooLargeError(f"coefficient bound {n_max} exceeds the cap")
-    if not surjective:
-        return _coefficients_for_factors(_factor_terms(G, full_subgroup(G), n_max), n_max)
-    total: dict[int, int] = {}
-    for H, mu in sieve_terms(G):
-        part = _coefficients_for_factors(_factor_terms(G, H, n_max), n_max)
-        for n, v in part.items():
-            total[n] = total.get(n, 0) + mu * v
-    return {n: v for n, v in sorted(total.items()) if v}
+    if n_max < 1:
+        raise ValueError("the coefficient bound must be at least 1")
+    rows = sieve_terms(G) if surjective else ((full_subgroup(G), 1),)
+    groups: dict = {}  # element-order histogram -> [representative H, summed mu]
+    for H, mu in rows:
+        groups.setdefault(_element_orders(G, H), [H, 0])[1] += mu
+    primes = primes_up_to(n_max)
+    total = [0] * (n_max + 1)
+    for H, mu in groups.values():
+        if mu:
+            _add_coefficients(total, G, H, mu, primes)
+    return {n: v for n, v in enumerate(total) if v}
 
 
-def _factor_terms(G: AbelianGroup, H: Subgroup, n_max: int) -> dict[int, tuple[tuple[int, int], ...]]:
-    """Local factor terms (restricted to inertia in H) for every usable prime.
+def _add_coefficients(
+    total: list[int], G: AbelianGroup, H: Subgroup, mu: int, primes: list[int]
+) -> None:
+    """Add mu times the coefficients of the series with inertia in H to total.
 
-    The terms are looked up once per ``_class_key`` class of primes.
+    total holds n = 0..n_max and primes every prime up to n_max.  A local
+    exponent is at least min_ind, the least index of a nontrivial element of
+    H: the inertia image <t, w> contains t + w, w, or at p = 2 the involution
+    t, and its exponent is at least that element's index.  So only the
+    primes up to the min_ind-th root of n_max are used, wild ones included.
+    The pass at p walks n downwards: before it the values vanish on the
+    multiples of p, and it writes only to multiples of p above the n it
+    reads, so each value it reads is final.
     """
-    out: dict[int, tuple[tuple[int, int], ...]] = {}
+    n_max = len(total) - 1
     min_ind = min(
-        (_index_of_order(G, element_order(G, g)) for g in H.elements if g != G.identity),
-        default=None,
+        (_index_of_order(G, o) for o, _ in _element_orders(G, H) if o > 1), default=None
     )
-    if min_ind is None:
-        return out
-    wild = [p for p, _ in factorize(G.order)]
-    by_class: dict[int, tuple[tuple[int, int], ...]] = {}
-    for p in primes_up_to(n_max):
-        if p not in wild and p**min_ind > n_max:
-            continue
-        key = _class_key(G, p)
-        if key not in by_class:
-            by_class[key] = restricted_local_factor(G, H, p).terms
-        terms = tuple((c, a) for c, a in by_class[key] if p**a <= n_max)
-        if terms:
-            out[p] = terms
-    return out
+    steps = []  # (p, ((c, p^a), ...) by ascending a)
+    if min_ind is not None:
+        root = integer_root(n_max, min_ind)
+        by_class: dict[int, list[tuple[int, int]]] = {}
+        for p in primes[: bisect_right(primes, root)]:
+            key = _class_key(G, p)
+            if key not in by_class:
+                by_class[key] = sorted(restricted_local_factor(G, H, p).terms, key=lambda t: t[1])
+            powers = tuple((c, p**a) for c, a in by_class[key] if p**a <= n_max)
+            if powers:
+                steps.append((p, powers))
+    if not steps:
+        total[1] += mu
+        return
+    vals = [0] * (n_max + 1)
+    vals[1] = mu
+    for p, powers in steps:
+        for n in range(n_max // powers[0][1], 0, -1):
+            v = vals[n]
+            if v:
+                for c, q in powers:
+                    m = n * q
+                    if m > n_max:
+                        break
+                    vals[m] += c * v
+    for n, v in enumerate(vals):
+        if v:
+            total[n] += v
 
 
 # -- the surjection sieve ------------------------------------------------------

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from malle_lab.groups import full_subgroup, make_group, moebius_subgroup, span, subgroup_lattice
+from lattice_bfs import subgroup_lattice
+from malle_lab.groups import full_subgroup, make_group, moebius_subgroup, span
 from malle_lab.invariants import GaloisActionSpec, WeightFn, a_invariant
 from malle_lab.numerics import primes_up_to, smallest_prime_factor
 from malle_lab.oracle import count_surjections

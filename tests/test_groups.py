@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import all_abelian_groups
+from lattice_bfs import subgroup_lattice
 from malle_lab.groups import (
     AbelianGroup,
     GroupTooLargeError,
@@ -20,7 +21,6 @@ from malle_lab.groups import (
     sieve_terms,
     span,
     subgroup_invariant_factors,
-    subgroup_lattice,
     trivial_subgroup,
 )
 from malle_lab.numerics import divisors

@@ -212,6 +212,32 @@ class TestCharactersUpTo:
         assert len(characters_up_to(e, f_max)) == self._brute_force_count(e, f_max)
 
 
+def _ram_histogram_by_definition(G, X):
+    """Every tuple of generator images of exact orders d_i, injective on the
+    dual group, by the product of the ramified primes of all dual images;
+    an order-d character with that product at most X has conductor at most
+    2 d X."""
+    factors = G.invariant_factors
+    pools = [[chi for chi in characters_up_to(d, 2 * d * X) if chi.order == d] for d in factors]
+    hist = {}
+    for images in product(*pools):
+        primes = set()
+        for exps in product(*(range(d) for d in factors)):
+            parts = [chi.power(e) for chi, e in zip(images, exps) if e]
+            if not parts:
+                continue
+            img = parts[0]
+            for part in parts[1:]:
+                img = img.mul(part)
+            if img.is_trivial():
+                break
+            primes.update(img.ramified_primes())
+        else:
+            if math.prod(primes) <= X:
+                hist[math.prod(primes)] = hist.get(math.prod(primes), 0) + 1
+    return hist
+
+
 class TestCounting:
     def test_c2_up_to_ten(self):
         rep = count_surjections(make_group([2]), 10)
@@ -254,6 +280,12 @@ class TestCounting:
         ram = count_surjections(G, 10, "ram", histogram=True)
         assert ram.surjections == 12
         assert dict(ram.histogram)[2] == 3  # conductors 4, 8, 8
+
+    @pytest.mark.parametrize("factors,X", [([2], 300), ([3], 300), ([4], 150), ([2, 2], 60), ([2, 4], 30)])
+    def test_ram_walk_matches_definition(self, factors, X):
+        G = make_group(factors)
+        rep = count_surjections(G, X, "ram", histogram=True)
+        assert dict(rep.histogram) == _ram_histogram_by_definition(G, X)
 
     def test_trivial_group(self):
         rep = count_surjections(make_group([]), 5)

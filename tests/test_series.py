@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp
 
 from conftest import all_abelian_groups
+from lattice_bfs import subgroup_lattice
 from malle_lab.groups import (
     element_order,
     full_subgroup,
@@ -13,8 +14,8 @@ from malle_lab.groups import (
     moebius_subgroup,
     sieve_terms,
     span,
-    subgroup_lattice,
 )
+from malle_lab import series
 from malle_lab.invariants import GaloisActionSpec, WeightFn, b_d, weight_spectrum
 from malle_lab.series import (
     DivergenceError,
@@ -307,7 +308,100 @@ class TestSieve:
             assert abs(value - (full - restricted)) < 1e-18
 
 
+def _reference_coefficients(G, n_max, surjective=False):
+    """Coefficients by the snapshot algorithm: for each usable prime p, in
+    ascending order, every term c p^(-a s) multiplies a snapshot of every
+    coefficient found so far; one run per sieve row, Moebius-weighted."""
+
+    def factor_terms(H):
+        orders = [element_order(G, g) for g in H.elements if g != G.identity]
+        if not orders:
+            return {}
+        min_ind = min(G.order - G.order // o for o in orders)
+        wild = [p for p, _ in factorize(G.order)]
+        out = {}
+        for p in primes_up_to(n_max):
+            if p not in wild and p**min_ind > n_max:
+                continue
+            terms = tuple(
+                (c, a) for c, a in restricted_local_factor(G, H, p).terms if p**a <= n_max
+            )
+            if terms:
+                out[p] = terms
+        return out
+
+    def coefficients(factors):
+        coeffs = {1: 1}
+        for p, terms in sorted(factors.items()):
+            snapshot = list(coeffs.items())
+            for c, a in terms:
+                pa = p**a
+                for n, v in snapshot:
+                    if n * pa <= n_max:
+                        coeffs[n * pa] = coeffs.get(n * pa, 0) + c * v
+        return coeffs
+
+    if not surjective:
+        return coefficients(factor_terms(full_subgroup(G)))
+    total = {}
+    for H, mu in sieve_terms(G):
+        for n, v in coefficients(factor_terms(H)).items():
+            total[n] = total.get(n, 0) + mu * v
+    return {n: v for n, v in total.items() if v}
+
+
+REFERENCE_GROUPS = (
+    [2], [3], [4], [6], [8], [9], [12], [2, 2], [2, 4], [2, 6], [3, 3], [2, 2, 2]
+)
+
+
 class TestCoefficients:
+    @pytest.mark.parametrize("surjective", [False, True])
+    @pytest.mark.parametrize("n_max", [1, 2, 97, 1000, 4096])  # 4096 = 2^12
+    @pytest.mark.parametrize("factors", REFERENCE_GROUPS, ids=str)
+    def test_matches_snapshot_reference(self, factors, n_max, surjective):
+        G = make_group(factors)
+        expected = _reference_coefficients(G, n_max, surjective)
+        assert series_coefficients(G, n_max, surjective) == expected
+
+    def test_terms_start_at_the_least_index(self):
+        # the kernel uses only the primes up to the min_ind-th root of n_max,
+        # wild primes included: no local term has a smaller exponent
+        for G in all_abelian_groups(48):
+            for H, _ in sieve_terms(G):
+                orders = [element_order(G, g) for g in H.elements if g != G.identity]
+                if not orders:
+                    continue
+                min_ind = min(G.order - G.order // o for o in orders)
+                wild = [p for p, _ in factorize(G.order)]
+                for p in set(wild) | {2, 3, 5, 7, 13, 37, 73}:
+                    terms = restricted_local_factor(G, H, p).terms
+                    assert all(a >= min_ind for _, a in terms), (str(G), H.order, p)
+
+    def test_one_pass_per_element_order_histogram(self, monkeypatch):
+        passes = []
+        kernel = series._add_coefficients
+
+        def counted(total, G, H, mu, primes):
+            passes.append(H)
+            kernel(total, G, H, mu, primes)
+
+        monkeypatch.setattr(series, "_add_coefficients", counted)
+        C2_4 = make_group([2, 2, 2, 2])
+        coeffs = series_coefficients(C2_4, 10**4, surjective=True)
+        assert len(sieve_terms(C2_4)) == 67
+        assert 0 < len(passes) <= 5  # one per subgroup order
+        assert coeffs == _reference_coefficients(C2_4, 10**4, surjective=True)
+        passes.clear()
+        # every prime power with a term exceeds 200000, and the Moebius
+        # weights over the sieve rows sum to zero
+        assert series_coefficients(make_group([2] * 5), 200_000, surjective=True) == {}
+        assert len(passes) <= 6
+
+    def test_bound_below_one(self):
+        with pytest.raises(ValueError):
+            series_coefficients(make_group([2]), 0)
+
     def test_hom_series_constant_term(self):
         for factors in ([2], [4], [2, 2]):
             assert series_coefficients(make_group(factors), 10)[1] == 1
