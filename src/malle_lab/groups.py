@@ -4,14 +4,18 @@ Elements are residue tuples, subgroups are explicit element sets, and the
 subgroup poset carries a Moebius function (P. Hall's closed form) used by
 the surjection sieve.  The sieve needs only the subgroups containing the
 Frattini subgroup Phi(G); they are built directly as the preimages of the
-subspaces of G/Phi(G), a product over p of F_p^(r_p).  Groups are fully
-enumerated below a configurable cap; large groups beyond the cap are only
-touched through divisor arithmetic elsewhere.
+subspaces of G/Phi(G), a product over p of F_p^(r_p).  The sieve's rows
+are types, not subgroups: every sieve quantity depends on a subgroup only
+through its element-order histogram, so ``sieve_types`` folds the
+subgroups of one histogram into one row with the summed Moebius weight.
+Groups are fully enumerated below a configurable cap; large groups beyond
+the cap are only touched through divisor arithmetic elsewhere.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
@@ -264,39 +268,24 @@ def sieve_terms(G: AbelianGroup) -> tuple[tuple[Subgroup, int], ...]:
     return tuple((H, _hall_moebius(G.order // H.order)) for H in subs)
 
 
-def subgroup_invariant_factors(H: Subgroup) -> AbelianGroup:
-    """Abstract isomorphism type of a subgroup from its element orders.
+@lru_cache(maxsize=None)
+def element_orders(G: AbelianGroup, H: Subgroup) -> tuple[tuple[int, int], ...]:
+    """(order, number of elements of that order) over H, the identity included."""
+    return tuple(sorted(Counter(element_order(G, g) for g in H.elements).items()))
 
-    For each prime p the partition of the p-part is recovered from the
-    counts #{h : p^k h = 0} = p^(sum_i min(lambda_i, k)).
+
+@lru_cache(maxsize=None)
+def sieve_types(G: AbelianGroup) -> tuple[tuple[Subgroup, int], ...]:
+    """One (representative H, summed mu) per element-order histogram.
+
+    The histogram is H's isomorphism type and fixes every sieve quantity.
+    A type's representative is its first subgroup in ``sieve_terms``, and
+    the types come in that order: 7 for the 2,825 sieve subgroups of C2^6.
     """
-    n = H.order
-    if n == 1:
-        return AbelianGroup(())
-    G = H.group
-    parts: dict[int, list[int]] = {}
-    for p, e in factorize(n):
-        log_counts = []
-        for k in range(e + 1):
-            pk = p**k
-            count = sum(1 for h in H.elements if G.scale(pk, h) == G.identity)
-            log_counts.append(round(math.log(count, p)))
-        # log_counts[k] - log_counts[k-1] = number of partition parts >= k
-        ge = [log_counts[k] - log_counts[k - 1] for k in range(1, e + 1)]
-        partition = []
-        for k, cnt in enumerate(ge, start=1):
-            nxt = ge[k] if k < len(ge) else 0
-            partition.extend([k] * (cnt - nxt))
-        parts[p] = sorted(partition, reverse=True)
-    rank = max(len(v) for v in parts.values())
-    factors = []
-    for i in range(rank):
-        d = 1
-        for p, partition in parts.items():
-            if i < len(partition):
-                d *= p ** partition[i]
-        factors.append(d)
-    return make_group([f for f in factors if f > 1])
+    types: dict = {}
+    for H, mu in sieve_terms(G):
+        types.setdefault(element_orders(G, H), [H, 0])[1] += mu
+    return tuple((H, mu) for H, mu in types.values())
 
 
 def aut_order(G: AbelianGroup) -> int:

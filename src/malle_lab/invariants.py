@@ -20,12 +20,14 @@ from typing import Callable
 from .groups import (
     AbelianGroup,
     Element,
+    Subgroup,
     element_order,
+    element_orders,
+    full_subgroup,
     make_group,
-    sieve_terms,
-    subgroup_invariant_factors,
+    sieve_types,
 )
-from .numerics import divisors, factorize, unit_group_components
+from .numerics import divisors, euler_phi, factorize, unit_group_components
 
 
 class InvarianceViolation(ValueError):
@@ -250,6 +252,33 @@ def default_zeta_order_hook(m: int, x: Fraction) -> int:
     return 0
 
 
+def _type_bbar(G: AbelianGroup, d: int, zeta_ord_hook: ZetaOrderHook, H: Subgroup) -> int:
+    """bbar at s = 1/d of a subgroup H of G, from its element counts k_e.
+
+    Scaled by [G:H], the index in H of an element of order e is ind_G(e), so
+    H enters through its elements of the order e_d with ind_G(e_d) = d, or
+    not at all.  Its k_e elements of order e form k_e / phi(e) cyclotomic
+    orbits, and bbar is k_{e_d} / phi(e_d) minus, for every e with
+    ind_G(e) < d, k_e / phi(e) times the hook at ind_G(e) / d, clamped at 0.
+    """
+    n = G.order
+    ind = {e: n - n // e for e in divisors(G.exponent) if e > 1}
+    e_d = next((e for e, i in ind.items() if i == d), None)
+    if e_d is None:
+        raise ValueError(f"{d} is not in the index spectrum of {G}")
+    counts = dict(element_orders(G, H))
+    if e_d not in counts:
+        return 0
+    bbar = counts[e_d] // euler_phi(e_d)
+    for e, k in counts.items():
+        if e > 1 and ind[e] < d:
+            ord_val = zeta_ord_hook(e, Fraction(ind[e], d))
+            if ord_val < 0:
+                raise ValueError("zeta order hook returned a negative order")
+            bbar -= k // euler_phi(e) * ord_val
+    return max(bbar, 0)
+
+
 def bbar_d(
     G: AbelianGroup,
     d: int,
@@ -261,20 +290,7 @@ def bbar_d(
     evaluated at the scaled point ind(o)/d; the hook returns the assumed
     order of vanishing (0 everywhere by default).
     """
-    action = GaloisActionSpec.cyclotomic(G)
-    wt = WeightFn.disc()
-    spectrum = weight_spectrum(G, action, wt)
-    if Fraction(d) not in spectrum:
-        raise ValueError(f"{d} is not in the index spectrum of {G}")
-    base = b_d(G, action, wt, d)
-    correction = 0
-    for o in nonidentity_orbits(G, action, wt):
-        if o.weight < d:
-            ord_val = zeta_ord_hook(o.element_order, Fraction(o.weight, d))
-            if ord_val < 0:
-                raise ValueError("zeta order hook returned a negative order")
-            correction += ord_val
-    return max(base - correction, 0)
+    return _type_bbar(G, d, zeta_ord_hook, full_subgroup(G))
 
 
 def conjectured_pole_order(
@@ -284,29 +300,10 @@ def conjectured_pole_order(
 ) -> int:
     """Predicted exact pole order at s = 1/d: max of bbar over Frattini-over subgroups.
 
-    A subgroup H enters with the scaled index d / [G:H] and is skipped when
-    that value is not an index of H itself.
+    A subgroup H enters with the scaled index d / [G:H]; its bbar depends
+    on H only through its type, so each sieve type is evaluated once.
     """
-    action = GaloisActionSpec.cyclotomic(G)
-    wt = WeightFn.disc()
-    if Fraction(d) not in weight_spectrum(G, action, wt):
-        raise ValueError(f"{d} is not in the index spectrum of {G}")
-    best = 0
-    for H, _ in sieve_terms(G):
-        if H.order == 1:
-            continue
-        index = G.order // H.order
-        if d % index:
-            continue
-        H_abs = subgroup_invariant_factors(H)
-        scaled = d // index
-        spectrum = weight_spectrum(
-            H_abs, GaloisActionSpec.cyclotomic(H_abs), wt
-        )
-        if Fraction(scaled) not in spectrum:
-            continue
-        best = max(best, bbar_d(H_abs, scaled, zeta_ord_hook))
-    return best
+    return max(_type_bbar(G, d, zeta_ord_hook, H) for H, _ in sieve_types(G))
 
 
 def classify_case(n: int, d: int, orders: list[int], m: int, cyclic: bool) -> str:

@@ -14,6 +14,10 @@ evaluations, the leading-term residue estimate, the subgroup-lattice sieve
 to surjections, and the sign checks for lower order terms.  All four run
 their Euler products through one prime loop, ``_euler_products``: one row
 per subgroup restricting inertia, each row with its own zeta corrections.
+A row's factors and corrections depend on its subgroup only through the
+element-order histogram, so the sieve's rows are types, not subgroups:
+one row per ``groups.sieve_types`` entry with the summed Moebius weight,
+7 rows for the 2,825 sieve subgroups of C2^6.
 
 A row's factor at p is an integer polynomial in u = p^-s that depends on p
 only through p mod exp(G): a prime dividing |G| is alone in its class, and
@@ -28,12 +32,10 @@ n <= n_max, and each prime p makes one pass over it, n descending, adding
 c v[n] to v[n p^a] for every term c p^(-a s) with n p^a <= n_max; the cost
 is the sum over p of n_max / p^a_min, not the number of primes times the
 number of nonzero coefficients.  Every exponent is at least the least index
-min_ind of a nontrivial element of the inertia subgroup, so a call sieves
-the primes once, and a row uses only those up to the min_ind-th root of
-n_max.  A row's factors depend on its subgroup only through the
-element-order histogram, so the surjection sieve makes one pass per
-histogram with the summed Moebius weight and skips the sums that vanish:
-the 2,825 sieve rows of C2^6 give 7 histograms.
+min_ind of a nontrivial element of the inertia subgroup, so a row uses
+only the primes up to the min_ind-th root of n_max, and a call sieves them
+once, up to the largest such root.  The surjection sieve makes one pass
+per sieve type and skips the types whose Moebius sum vanishes.
 """
 
 from __future__ import annotations
@@ -51,16 +53,15 @@ from .groups import (
     AbelianGroup,
     GroupTooLargeError,
     Subgroup,
-    element_order,
+    element_orders,
     full_subgroup,
     sieve_terms,
+    sieve_types,
 )
 from .invariants import (
     GaloisActionSpec,
-    OrbitData,
     WeightFn,
     b_d,
-    nonidentity_orbits,
     nonvanishing_case,
     weight_spectrum,
 )
@@ -153,7 +154,7 @@ def _local_terms(
     n = G.order
     at_two = wild % 2 == 0  # p = 2 divides |G| (for odd |G|, t = w = 0 at 2)
     c = 2 if at_two else 1
-    orders = _element_orders(G, H)
+    orders = element_orders(G, H)
     pairs = []  # (number of pairs (t, w), order of w, order of <t, w>)
     if at_two:  # the t in <w> are 0 and, for w != 0, the involution of <w>
         tame_count = sum(k for o, k in orders if tame % o == 0)
@@ -174,12 +175,6 @@ def _local_terms(
     return tuple(sorted((k, a) for a, k in by_exp.items()))
 
 
-@lru_cache(maxsize=None)
-def _element_orders(G: AbelianGroup, H: Subgroup) -> tuple[tuple[int, int], ...]:
-    """(order, number of elements of that order) over H, the identity included."""
-    return tuple(sorted(Counter(element_order(G, g) for g in H.elements).items()))
-
-
 # -- zeta factorization --------------------------------------------------------
 
 
@@ -194,14 +189,31 @@ class ZetaFactorization:
         return sum(1 for _, a in self.entries if a == d)
 
 
-def _disc_orbits(G: AbelianGroup) -> tuple[OrbitData, ...]:
-    return nonidentity_orbits(G, GaloisActionSpec.cyclotomic(G), WeightFn.disc())
+def _orbit_entries(G: AbelianGroup, H: Subgroup) -> tuple[tuple[int, int], ...]:
+    """(order, index in G) once per cyclotomic orbit of nonidentity elements of H.
+
+    The units act transitively on the generators of each cyclic subgroup,
+    so the k_e elements of order e in H form k_e / phi(e) orbits; they come
+    by ascending order, which is ascending index.
+    """
+    return tuple(
+        (e, _index_of_order(G, e))
+        for e, k in element_orders(G, H)
+        if e > 1
+        for _ in range(k // euler_phi(e))
+    )
+
+
+def _sieve_entries(G: AbelianGroup) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The orbit entries of G and its least index a, for the sieve's callers."""
+    entries = _orbit_entries(G, full_subgroup(G))
+    if not entries:
+        raise ValueError("the surjection sieve is undefined for the trivial group")
+    return entries, entries[0][1]
 
 
 def zeta_factorization(G: AbelianGroup) -> ZetaFactorization:
-    entries = tuple(
-        sorted((o.element_order, int(o.weight)) for o in _disc_orbits(G))
-    )
+    entries = _orbit_entries(G, full_subgroup(G))
     fact = ZetaFactorization(G, entries)
     action, wt = GaloisActionSpec.cyclotomic(G), WeightFn.disc()
     for d in weight_spectrum(G, action, wt):
@@ -316,6 +328,8 @@ def _euler_products(G: AbelianGroup, s: Fraction, p_max: int, rows, factor_log=N
     products are the whole truncated products.  For a one-row call,
     factor_log receives the first FACTOR_LOG_LIMIT (p, factor).
     """
+    if p_max < 2:
+        raise ValueError(f"p_max = {p_max} takes no prime; it must be at least 2")
     prods = [mp.mpf(1)] * len(rows)
     marks = _checkpoint_set(p_max)
     plans: dict = {}
@@ -350,8 +364,8 @@ def euler_product_truncated(
     factors orbit by orbit and needs only s > 1/(2a).
     """
     s = Fraction(s)
-    orbs = _disc_orbits(G)
-    a = min(o.weight for o in orbs) if orbs else Fraction(1)
+    entries = _orbit_entries(G, full_subgroup(G))
+    a = Fraction(entries[0][1] if entries else 1)
     if mode == "full" and s <= 1 / a:
         raise DivergenceError(f"full product diverges at s = {s} <= 1/a")
     if mode == "residual" and s <= 1 / (2 * a):
@@ -361,7 +375,7 @@ def euler_product_truncated(
     dps = dps or precision_digits()
     corrections = ()
     if mode == "residual":
-        corrections = tuple((o.element_order, int(o.weight)) for o in orbs)
+        corrections = entries
     rows = [(full_subgroup(G), corrections)]
     factor_log: list = []
     with mp.workdps(dps + 10):
@@ -382,23 +396,23 @@ def series_coefficients(
 ) -> dict[int, int]:
     """Exact coefficients up to n_max: counts of homs (or surjections) by |disc|.
 
-    The sieve rows are grouped by their element-order histogram, which fixes
-    every local factor, and each group with a nonzero Moebius sum runs one
-    ``_add_coefficients`` pass (see the module docstring).
+    Each sieve type with a nonzero Moebius sum runs one ``_add_coefficients``
+    pass (see the module docstring); the primes are sieved once, up to the
+    largest root of n_max that a pass uses.
     """
     if n_max > COEFFICIENT_CAP:
         raise GroupTooLargeError(f"coefficient bound {n_max} exceeds the cap")
     if n_max < 1:
         raise ValueError("the coefficient bound must be at least 1")
-    rows = sieve_terms(G) if surjective else ((full_subgroup(G), 1),)
-    groups: dict = {}  # element-order histogram -> [representative H, summed mu]
-    for H, mu in rows:
-        groups.setdefault(_element_orders(G, H), [H, 0])[1] += mu
-    primes = primes_up_to(n_max)
+    rows = sieve_types(G) if surjective else ((full_subgroup(G), 1),)
+    rows = [(H, mu) for H, mu in rows if mu]
+    # a pass uses the primes up to the min_ind-th root of n_max, where min_ind
+    # is the index of its type's first orbit entry (none for trivial H)
+    roots = [integer_root(n_max, ind) for H, _ in rows for _, ind in _orbit_entries(G, H)[:1]]
+    primes = primes_up_to(max(roots, default=1))
     total = [0] * (n_max + 1)
-    for H, mu in groups.values():
-        if mu:
-            _add_coefficients(total, G, H, mu, primes)
+    for H, mu in rows:
+        _add_coefficients(total, G, H, mu, primes)
     return {n: v for n, v in enumerate(total) if v}
 
 
@@ -407,7 +421,7 @@ def _add_coefficients(
 ) -> None:
     """Add mu times the coefficients of the series with inertia in H to total.
 
-    total holds n = 0..n_max and primes every prime up to n_max.  A local
+    total holds n = 0..n_max and primes every prime the pass uses.  A local
     exponent is at least min_ind, the least index of a nontrivial element of
     H: the inertia image <t, w> contains t + w, w, or at p = 2 the involution
     t, and its exponent is at least that element's index.  So only the
@@ -417,12 +431,10 @@ def _add_coefficients(
     reads, so each value it reads is final.
     """
     n_max = len(total) - 1
-    min_ind = min(
-        (_index_of_order(G, o) for o, _ in _element_orders(G, H) if o > 1), default=None
-    )
+    orbits_in = _orbit_entries(G, H)
     steps = []  # (p, ((c, p^a), ...) by ascending a)
-    if min_ind is not None:
-        root = integer_root(n_max, min_ind)
+    if orbits_in:
+        root = integer_root(n_max, orbits_in[0][1])  # min_ind
         by_class: dict[int, list[tuple[int, int]]] = {}
         for p in primes[: bisect_right(primes, root)]:
             key = _class_key(G, p)
@@ -461,24 +473,27 @@ def sieve_to_surjective(
 ) -> tuple[object, tuple[tuple[str, int, object], ...]]:
     """Moebius-weighted sum of truncated subgroup-restricted products at s.
 
-    Returns (value, terms) with one (subgroup label, mu, product value) per
-    subgroup containing the Frattini subgroup.
+    One product runs per sieve type.  Returns (value, terms) with one
+    (subgroup label, mu, product value) per subgroup containing the Frattini
+    subgroup, in ``sieve_terms`` order; a subgroup's product is its type's.
     """
     s = Fraction(s)
-    orbs = _disc_orbits(G)
-    a = min(o.weight for o in orbs)
-    if s <= 1 / a:
+    _, a = _sieve_entries(G)
+    if s <= Fraction(1, a):
         raise DivergenceError(f"sieve summands diverge at s = {s} <= 1/a")
     dps = dps or precision_digits()
-    subgroups = sieve_terms(G)
-    terms_out = []
+    types = sieve_types(G)
     with mp.workdps(dps + 10):
-        *_, (_, _, prods) = _euler_products(G, s, p_max, [(H, ()) for H, _ in subgroups])
+        *_, (_, _, prods) = _euler_products(G, s, p_max, [(H, ()) for H, _ in types])
         total = mp.mpf(0)
-        for (H, mu), prod in zip(subgroups, prods):
-            label = "+".join(str(e) for e in sorted({element_order(G, g) for g in H.elements}))
-            terms_out.append((f"H(order={H.order};orders={label})", mu, prod))
+        for (_, mu), prod in zip(types, prods):
             total += mu * prod
+    by_type = {element_orders(G, H): prod for (H, _), prod in zip(types, prods)}
+    terms_out = []
+    for H, mu in sieve_terms(G):
+        orders = element_orders(G, H)
+        label = "+".join(str(o) for o, _ in orders)
+        terms_out.append((f"H(order={H.order};orders={label})", mu, by_type[orders]))
     return total, tuple(terms_out)
 
 
@@ -513,29 +528,26 @@ def residue_main_term(
     """Leading main-term coefficient of the surjection count.
 
     The count grows like leading * X^(1/a) log(X)^(b-1); the leading value
-    combines, for every sieve subgroup containing all minimal-index orbits,
-    the truncated residual Euler product at s = 1/a, the zeta residues of
-    the minimal-index orbits, and the zeta values of the larger orbits.
+    combines, for every sieve type containing all minimal-index orbits, the
+    truncated residual Euler product at s = 1/a, the zeta residues of the
+    minimal-index orbits, and the zeta values of the larger orbits.
     """
     dps = dps or precision_digits()
-    orbs = _disc_orbits(G)
-    a = int(min(o.weight for o in orbs))
-    b = sum(1 for o in orbs if o.weight == a)
+    entries, a = _sieve_entries(G)
+    b = sum(1 for _, ind in entries if ind == a)
     with mp.workdps(dps + 10):
         rows, weights = [], []
-        for H, mu in sieve_terms(G):
-            orbits_in = [o for o in orbs if o.representative in H.elements]
-            if sum(1 for o in orbits_in if o.weight == a) < b:
+        for H, mu in sieve_types(G):
+            orbits_in = _orbit_entries(G, H)
+            if sum(1 for _, ind in orbits_in if ind == a) < b:
                 continue
             zeta_part = mp.mpf(1)
-            for o in orbits_in:
-                if o.weight == a:
-                    zeta_part *= dedekind_zeta_residue(o.element_order, dps) / a
+            for m, ind in orbits_in:
+                if ind == a:
+                    zeta_part *= dedekind_zeta_residue(m, dps) / a
                 else:
-                    zeta_part *= dedekind_zeta_value(
-                        o.element_order, Fraction(int(o.weight), a), dps
-                    )
-            rows.append((H, tuple((o.element_order, int(o.weight)) for o in orbits_in)))
+                    zeta_part *= dedekind_zeta_value(m, Fraction(ind, a), dps)
+            rows.append((H, orbits_in))
             weights.append((mu, zeta_part))
         partials = {
             mark: mp.fsum(mu * z * prod for (mu, z), prod in zip(weights, prods))
@@ -595,23 +607,21 @@ def nonvanishing_limit(
     splits the sieve by whether the subgroup contains the 2-torsion.  Case iv
     is the single full-group term of the sieve.
     """
+    entries, a = _sieve_entries(G)
     case = nonvanishing_case(G, d)
     if case == "none":
         raise UnsupportedCaseError(f"no proved expression for {G} at d = {d}")
     dps = dps or precision_digits()
-    orbs = _disc_orbits(G)
-    a = int(min(o.weight for o in orbs))
-    entries = tuple((o.element_order, int(o.weight)) for o in orbs)
 
     def sieve_values(*parts):
-        """One Moebius sum per part (subgroups, corr_lower, corr_upper), all in
+        """One Moebius sum per part (types, corr_lower, corr_upper), all in
         one prime loop; a part's rows divide out the zeta factors of
         corr_lower < ind < corr_upper, one cyclotomic zeta factor per orbit."""
         rows, weights = [], []
-        for j, (subgroups, corr_lower, corr_upper) in enumerate(parts):
+        for j, (types, corr_lower, corr_upper) in enumerate(parts):
             corrections = tuple(e for e in entries if corr_lower < e[1] < corr_upper)
-            rows += [(H, corrections) for H, _ in subgroups]
-            weights += [(j, mu) for _, mu in subgroups]
+            rows += [(H, corrections) for H, _ in types]
+            weights += [(j, mu) for _, mu in types]
         return {
             mark: [
                 mp.fsum(mu * prod for (part, mu), prod in zip(weights, prods) if part == j)
@@ -622,17 +632,17 @@ def nonvanishing_limit(
 
     with mp.workdps(dps + 10):
         if case in ("case_i", "case_ii", "case_iv"):
-            subgroups = ((full_subgroup(G), 1),) if case == "case_iv" else sieve_terms(G)
-            partial = sieve_values((subgroups, 0, d))
+            types = ((full_subgroup(G), 1),) if case == "case_iv" else sieve_types(G)
+            partial = sieve_values((types, 0, d))
             checkpoints = tuple((m, v) for m, (v,) in sorted(partial.items()))
-        else:  # case_iii: split at the 2-torsion subgroup
-            two = frozenset(
-                g for g in G.elements() if G.scale(2, g) == G.identity
-            )
-            with_two = tuple((H, mu) for H, mu in sieve_terms(G) if two <= H.elements)
-            without_two = tuple(
-                (H, mu) for H, mu in sieve_terms(G) if not two <= H.elements
-            )
+        else:  # case_iii: split at the 2-torsion G[2], which H contains iff
+            # it has as many elements of order <= 2 as G
+            def two_torsion(H):
+                return sum(k for o, k in element_orders(G, H) if o <= 2)
+
+            two = two_torsion(full_subgroup(G))
+            with_two = tuple((H, mu) for H, mu in sieve_types(G) if two_torsion(H) == two)
+            without_two = tuple((H, mu) for H, mu in sieve_types(G) if two_torsion(H) < two)
             partial = sieve_values((with_two, 0, d), (without_two, a, d))
             zeta_at = riemann_zeta_value(Fraction(a, d), dps)
             checkpoints = tuple(

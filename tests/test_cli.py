@@ -110,6 +110,15 @@ class TestSeriesAndCoeffs:
     def test_series_divergence_is_usage_error(self):
         assert invoke(["series", "C3", "--s", "1/2", "--pmax", "100"])[0] == 2
 
+    def test_series_prime_bound_below_two_is_usage_error(self, capsys):
+        assert invoke(["series", "C2", "--s", "2", "--pmax", "-5"])[0] == 2
+        assert "at least 2" in capsys.readouterr().err
+
+    def test_surjective_trivial_group_is_usage_error(self, capsys):
+        argv = ["series", "C1", "--s", "2", "--pmax", "10", "--surjective"]
+        assert invoke(argv)[0] == 2
+        assert "trivial group" in capsys.readouterr().err
+
     def test_coeffs_stdout(self):
         code, out = invoke(["coeffs", "C2", "--max", "10", "--surjective"])
         assert code == 0

@@ -7,20 +7,22 @@ from hypothesis import strategies as st
 
 from conftest import all_abelian_groups
 from lattice_bfs import subgroup_lattice
+from sieve_reference import subgroup_invariant_factors
 from malle_lab.groups import (
     AbelianGroup,
     GroupTooLargeError,
     Subgroup,
     aut_order,
     element_order,
+    element_orders,
     frattini,
     full_subgroup,
     make_group,
     moebius_subgroup,
     parse_group_literal,
     sieve_terms,
+    sieve_types,
     span,
-    subgroup_invariant_factors,
     trivial_subgroup,
 )
 from malle_lab.numerics import divisors
@@ -256,6 +258,31 @@ class TestSieveTerms:
                     if K.order % H.order == 0 and H.elements <= K.elements
                 )
                 assert total == (1 if H.order == G.order else 0), (G, H.order)
+
+
+class TestSieveTypes:
+    def test_one_row_per_histogram_with_summed_mu(self):
+        # the representative of a type is its first subgroup in sieve order
+        for G in all_abelian_groups(64):
+            types = sieve_types(G)
+            histograms = [element_orders(G, H) for H, _ in types]
+            assert len(set(histograms)) == len(histograms), G
+            firsts, summed = {}, {}
+            for H, mu in sieve_terms(G):
+                hist = element_orders(G, H)
+                firsts.setdefault(hist, H)
+                summed[hist] = summed.get(hist, 0) + mu
+            assert [H for H, _ in types] == list(firsts.values()), G
+            assert dict(zip(histograms, (mu for _, mu in types))) == summed, G
+
+    def test_elementary_2_6_has_seven_types(self):
+        # one type per order 2^k, k = 0..6, among 2,825 sieve subgroups
+        types = sieve_types(ELEMENTARY_2_6)
+        assert len(types) == 7
+        assert [mu for _, mu in types] == [
+            (-1) ** k * 2 ** (k * (k - 1) // 2) * _gaussian_binomial(6, k, 2)
+            for k in range(6, -1, -1)
+        ]
 
 
 class TestAutOrder:

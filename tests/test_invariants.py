@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import sieve_reference
 from conftest import all_abelian_groups
 from malle_lab.groups import element_order, frattini, make_group
 from malle_lab.invariants import (
@@ -14,6 +15,7 @@ from malle_lab.invariants import (
     bbar_d,
     conjectured_pole_order,
     cyclic_group,
+    default_zeta_order_hook,
     index_of,
     invariant_summary,
     nonidentity_orbits,
@@ -192,7 +194,31 @@ class TestBbar:
             bbar_d(make_group([4]), 5)
 
 
+FORCED_ZERO_HOOKS = (
+    lambda m, x: 1,  # every smaller-index orbit vanishes once
+    lambda m, x: 2 if m == 2 and x >= Fraction(1, 2) else 0,
+)
+
+
 class TestConjecturedPoleOrder:
+    def test_closed_form_matches_per_orbit_reference(self):
+        hooks = (default_zeta_order_hook,) + FORCED_ZERO_HOOKS
+        for G in all_abelian_groups(64):
+            for d in weight_spectrum(G, GaloisActionSpec.cyclotomic(G), DISC):
+                for hook in hooks:
+                    expected = sieve_reference.bbar_d(G, int(d), hook)
+                    assert bbar_d(G, int(d), hook) == expected, (G, d)
+                    expected = sieve_reference.conjectured_pole_order(G, int(d), hook)
+                    assert conjectured_pole_order(G, int(d), hook) == expected, (G, d)
+
+    def test_negative_hook_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            conjectured_pole_order(make_group([4]), 3, lambda m, x: -1)
+
+    def test_not_in_spectrum(self):
+        with pytest.raises(ValueError):
+            conjectured_pole_order(make_group([4]), 5)
+
     def test_c4(self):
         assert conjectured_pole_order(make_group([4]), 3) == 1
 

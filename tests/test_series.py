@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+import sieve_reference
 from conftest import all_abelian_groups
 from lattice_bfs import subgroup_lattice
 from malle_lab.groups import (
@@ -13,6 +14,7 @@ from malle_lab.groups import (
     make_group,
     moebius_subgroup,
     sieve_terms,
+    sieve_types,
     span,
 )
 from malle_lab import series
@@ -228,6 +230,18 @@ class TestEulerProduct:
         with pytest.raises(DivergenceError):
             euler_product_truncated(G, Fraction(1, 4), 100, mode="residual")
 
+    def test_prime_bound_below_two(self):
+        G = make_group([2])
+        for p_max in (1, 0, -5):
+            with pytest.raises(ValueError, match="at least 2"):
+                euler_product_truncated(G, 2, p_max)
+            with pytest.raises(ValueError, match="at least 2"):
+                residue_main_term(G, p_max)
+            with pytest.raises(ValueError, match="at least 2"):
+                nonvanishing_limit(G, 1, p_max)
+            with pytest.raises(ValueError, match="at least 2"):
+                sieve_to_surjective(G, 2, p_max)
+
     def test_residual_factors_near_one(self):
         # the leftover Euler factor is 1 + O(p^(-2 a sigma)) at sigma = 1/a
         for factors in ([2], [3], [4], [2, 2], [6]):
@@ -280,12 +294,55 @@ class TestEulerProduct:
             zeta_local_data.cache_clear()
             run(G, p_max)
             classes = {p % G.exponent for p in primes_up_to(p_max)}
-            bound = len(sieve_terms(G)) * len(classes)
+            bound = len(sieve_types(G)) * len(classes)
             assert restricted_local_factor.cache_info().currsize <= bound
             assert zeta_local_data.cache_info().currsize <= bound
 
 
+# C4, C6 and C3xC6 add nonvanishing cases ii, iii and iv to the case i of the rest
+FOLDED_GROUPS = ([2, 2, 2], [2, 2, 2, 2], [2, 2, 4], [2, 4], [3, 3], [2, 6], [4], [6], [3, 6])
+
+
+def _close(value, reference):
+    return abs(value - reference) <= mp.mpf("1e-40") * max(1, abs(reference))
+
+
 class TestSieve:
+    def test_trivial_group_rejected(self):
+        G = make_group([])
+        with pytest.raises(ValueError, match="trivial group"):
+            sieve_to_surjective(G, 2, 10)
+        with pytest.raises(ValueError, match="trivial group"):
+            residue_main_term(G, 10)
+        with pytest.raises(ValueError, match="trivial group"):
+            nonvanishing_limit(G, 1, 10)
+
+    @pytest.mark.parametrize("factors", FOLDED_GROUPS, ids=str)
+    def test_folded_rows_match_per_subgroup_reference(self, factors):
+        # one Euler row per sieve type against one row per sieve subgroup
+        G = make_group(factors)
+        dps, p_max = 50, 300
+        a = min(ind for _, ind in zeta_factorization(G).entries)
+        s = Fraction(3, 2 * a)
+        value, terms = sieve_to_surjective(G, s, p_max, dps)
+        ref_value, ref_terms = sieve_reference.sieve_to_surjective(G, s, p_max, dps)
+        with mp.workdps(dps):
+            assert _close(value, ref_value)
+            assert [t[:2] for t in terms] == [t[:2] for t in ref_terms]
+            assert all(_close(t[2], r[2]) for t, r in zip(terms, ref_terms))
+            est = residue_main_term(G, p_max, dps)
+            ref = sieve_reference.residue_main_term(G, p_max, dps)
+            assert [m for m, _ in est.checkpoints] == [m for m, _ in ref]
+            assert all(_close(v, r) for (_, v), (_, r) in zip(est.checkpoints, ref))
+            for d in sorted({ind for _, ind in zeta_factorization(G).entries}):
+                try:
+                    rep = nonvanishing_limit(G, d, p_max, dps)
+                except UnsupportedCaseError:
+                    continue
+                ref = sieve_reference.nonvanishing_limit(G, d, p_max, dps)
+                assert [m for m, _ in rep.checkpoints] == [m for m, _ in ref]
+                assert all(_close(v, r) for (_, v), (_, r) in zip(rep.checkpoints, ref)), d
+
     def test_c2_full_minus_one(self):
         G = make_group([2])
         value, terms = sieve_to_surjective(G, Fraction(3, 2), 500)
