@@ -45,10 +45,13 @@ def _model_from(name: str, deg_k: int) -> SubconvexityModel:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise UsageError(f"zero denominator in {text!r}")
 
 
 def _emit(payload: dict, started: float, argv: list[str]) -> None:
@@ -123,6 +126,8 @@ def _cmd_scan(args, argv, started) -> int:
 def _cmd_series(args, argv, started) -> int:
     G = parse_group_literal(args.group)
     s = _parse_fraction(args.s)
+    if args.surjective and args.mode == "residual":
+        raise UsageError("--surjective sums full-mode products; --mode residual does not apply")
     payload: dict = {"group": str(G), "s": str(s), "p_max": args.pmax}
     fact = zeta_factorization(G)
     payload["factorization"] = [[m, a] for m, a in fact.entries]
@@ -257,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("series", help="truncated Euler product evaluation")
+    p = sub.add_parser(
+        "series", help="truncated Euler product evaluation, --pmax up to 1e7 (4-9 s, 60 MiB there)"
+    )
     p.add_argument("group")
     p.add_argument("--s", required=True, help="rational a/b")
     p.add_argument("--pmax", type=int, required=True)
@@ -281,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histogram", default=None, help="write histogram CSV here")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("sieve-check", help="non-vanishing sign check at s = 1/d")
+    p = sub.add_parser(
+        "sieve-check", help="non-vanishing sign check at s = 1/d, --pmax up to 1e7 (9 s, 60 MiB there)"
+    )
     p.add_argument("group")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--pmax", type=int, required=True)

@@ -38,15 +38,27 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def integer_root(x: int, k: int) -> int:
-    """Largest r with r^k <= x."""
-    if k == 1:
+    """Largest r with r^k <= x, exact for x of any size.
+
+    An even k takes ``math.isqrt`` first: r^(k/2) <= isqrt(x) exactly when
+    r^k <= x.  For odd k a float root of the top 64 bits of x, taken a
+    little high, seeds integer Newton steps, which decrease from any r
+    above the root and stop at the largest r with r^k <= x.
+    """
+    if x < 0 or k < 1:
+        raise ValueError("integer_root expects x >= 0 and k >= 1")
+    while k % 2 == 0:
+        x, k = math.isqrt(x), k // 2
+    if k == 1 or x < 2:
         return x
-    r = int(round(x ** (1.0 / k)))
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    shift = max(0, x.bit_length() - 64) // k * k
+    seed = ((x >> shift) + 1) ** (1.0 / k) * (1 + 2.0**-40)
+    r = (int(seed) + 1) << (shift // k)
+    while True:
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
 
 
 def is_prime(n: int) -> bool:

@@ -26,6 +26,18 @@ gcd(p - 1, exp G) and the splitting of p in each Q(zeta_m), m | exp(G), are
 fixed by p mod exp(G).  So the loop builds each row's polynomial once per
 class, and per prime evaluates each distinct polynomial of its class once.
 
+The loop runs on Python ints in fixed point at scale 2^W, W being mp.prec
+plus GUARD_BITS: u = floor(2^W p^-s) from ``integer_root``, its powers
+shared by the polynomials of a class, and each row's product a (mantissa,
+exponent) pair kept at W bits.  mpfs are built only at the checkpoints.
+Every step truncates, so the loop knows its rounding error: for a factor
+f = 1 + sum c u^a it is below sum |c| (2a - 1) units of 2^-W, relative to
+f, and below 2 units per product step; a row's stated relative bound is
+twice their sum over the primes, plus 2^-mp.prec for the final rounding.
+``nonvanishing_limit`` reads a Moebius sum within its summed bound as an
+exact 0; such sums occur where the primes so far admit no surjection.
+No prime loop runs past EULER_PRIME_CAP.
+
 The exact Dirichlet coefficients come from the same factors.  They are
 multiplicative, so ``series_coefficients`` keeps them in one list over
 n <= n_max, and each prime p makes one pass over it, n descending, adding
@@ -78,6 +90,7 @@ from .numerics import (
 )
 
 COEFFICIENT_CAP = 200_000
+EULER_PRIME_CAP = 10**7
 
 
 class DivergenceError(ValueError):
@@ -101,10 +114,7 @@ class LocalFactor:
     def value(self, s: Fraction):
         """Evaluate at real rational s in the current mp context."""
         s = Fraction(s)
-        return self.value_at(mp.power(mp.root(self.prime, s.denominator), -s.numerator))
-
-    def value_at(self, u):
-        """Evaluate 1 + sum c u^a with u = p^(-s) precomputed."""
+        u = mp.power(mp.root(self.prime, s.denominator), -s.numerator)
         total = mp.mpf(1)
         for c, a in self.terms:
             total += c * u**a
@@ -240,6 +250,7 @@ def zeta_local_data(m: int, p: int) -> tuple[int, int]:
 
 
 FACTOR_LOG_LIMIT = 25  # per-prime factors kept for inspection
+GUARD_BITS = 32  # fixed-point bits of the prime loop beyond mp.prec
 
 
 @dataclass(frozen=True)
@@ -308,7 +319,9 @@ def _class_plan(G: AbelianGroup, rows, p: int):
     return tuple(plan.items())
 
 
-def _euler_products(G: AbelianGroup, s: Fraction, p_max: int, rows, factor_log=None):
+def _euler_products(
+    G: AbelianGroup, s: Fraction, p_max: int, rows, factor_log=None, bounds=None
+):
     """The one prime loop: a truncated Euler product per row over p <= p_max.
 
     A row is (H, corrections).  Its factor at p is the local factor with
@@ -323,32 +336,108 @@ def _euler_products(G: AbelianGroup, s: Fraction, p_max: int, rows, factor_log=N
     polynomial of its class once and multiplies it into the rows that
     share it.
 
+    The loop runs on Python ints at the fixed-point scale 2^W, W = mp.prec +
+    GUARD_BITS.  With s = n/q, u = floor(2^W p^(-s)) is
+    ``integer_root(2^(q W) // p^n, q)``, and the powers u^a a class needs
+    are truncated products shared by its polynomials.  A row's product is
+    a pair (mantissa, exponent) renormalized to W bits after every factor,
+    so a product that grows or shrinks keeps its relative precision.
+    Every truncation rounds down by less than one unit of 2^-W, so u^a is
+    short by less than 2a - 1 units and a polynomial sum c u^a is off by
+    less than e = sum |c| (2a - 1) units; a factor f adds a relative error
+    of e / f and each product step one of 2 units.  The bound a row states
+    at a mark is twice the sum of these over its primes (covering the
+    higher orders while that sum is below 1/4) plus 2^-mp.prec for the
+    rounding of the product to an mpf.
+
     Yields (mark, p, products) at each checkpoint mark, p being the prime
-    that reached the mark or None once the primes ran out; the last
-    products are the whole truncated products.  For a one-row call,
-    factor_log receives the first FACTOR_LOG_LIMIT (p, factor).
+    that reached the mark or None once the primes ran out; the products are
+    mpfs, and the last ones are the whole truncated products.  With a list
+    as bounds, each mark appends the rows' relative rounding bounds (mpfs).
+    For a one-row call, factor_log receives the first FACTOR_LOG_LIMIT
+    (p, factor).
     """
     if p_max < 2:
         raise ValueError(f"p_max = {p_max} takes no prime; it must be at least 2")
-    prods = [mp.mpf(1)] * len(rows)
+    if p_max > EULER_PRIME_CAP:
+        raise GroupTooLargeError(f"prime bound {p_max} exceeds the cap {EULER_PRIME_CAP}")
+    W = mp.prec + GUARD_BITS
+    one, top = 1 << W, 1 << (s.denominator * W)
+    mants, exps = [one] * len(rows), [-W] * len(rows)
+    errors: list = []  # sum over the primes of e / f per plan entry, in units
+    row_entries: list = [[] for _ in rows]  # the plan entries of each row
+
+    def checkpoint(steps):
+        if bounds is not None:
+            bounds.append(tuple(
+                mp.ldexp(2 * (sum(errors[j] for j in entries) + 2 * steps) + 2**GUARD_BITS, -W)
+                for entries in row_entries
+            ))
+        return tuple(mp.mpf(pair) for pair in zip(mants, exps))
+
     marks = _checkpoint_set(p_max)
     plans: dict = {}
-    for p in primes_up_to(p_max):
+    for steps, p in enumerate(primes_up_to(p_max), 1):
         key = _class_key(G, p)
         plan = plans.get(key)
         if plan is None:
-            plan = plans[key] = _class_plan(G, rows, p)
-        u = mp.power(mp.root(p, s.denominator), -s.numerator)
-        for poly, indices in plan:
-            factor = poly.value_at(u)
+            polys, entries = _class_plan(G, rows, p), []
+            for poly, indices in polys:
+                for i in indices:
+                    row_entries[i].append(len(errors))
+                e = sum(abs(c) * (2 * a - 1) for c, a in poly.terms)
+                entries.append((poly.terms, e << W, indices, len(errors)))
+                errors.append(0.0)
+            needed = sorted({a for poly, _ in polys for _, a in poly.terms})
+            plan = plans[key] = (needed, entries)
+        needed, entries = plan
+        powers = _fixed_powers(integer_root(top // p**s.numerator, s.denominator), needed, W)
+        for terms, scaled_e, indices, j in entries:
+            factor = one
+            for c, a in terms:
+                factor += c * powers[a]
+            errors[j] += scaled_e / factor if factor > 0 else math.inf
             for i in indices:
-                prods[i] *= factor
+                m = mants[i] * factor
+                shift = m.bit_length() - W
+                mants[i] = m >> shift if shift >= 0 else m << -shift
+                exps[i] += shift - W
         if factor_log is not None and len(factor_log) < FACTOR_LOG_LIMIT:
-            factor_log.append((p, factor))
+            factor_log.append((p, mp.mpf((factor, -W))))
         while marks and p >= marks[0]:
-            yield marks.pop(0), p, tuple(prods)
+            yield marks.pop(0), p, checkpoint(steps)
     for mark in marks:
-        yield mark, None, tuple(prods)
+        yield mark, None, checkpoint(steps)
+
+
+def _fixed_powers(u: int, exponents, W: int) -> dict[int, int]:
+    """{a: u^a} at scale 2^W for the ascending exponents, each truncated.
+
+    u^a is u^b times u^(a - b) for the exponent b before it, and each gap's
+    power is computed once.
+    """
+    gaps: dict[int, int] = {}
+    powers: dict[int, int] = {}
+    previous = 0
+    for a in exponents:
+        gap = a - previous
+        if gap not in gaps:
+            gaps[gap] = _fixed_power(u, gap, W)
+        powers[a] = gaps[gap] if previous == 0 else (powers[previous] * gaps[gap]) >> W
+        previous = a
+    return powers
+
+
+def _fixed_power(u: int, k: int, W: int) -> int:
+    """u^k at scale 2^W by square-and-multiply, truncated after each product."""
+    result = None
+    while True:
+        if k & 1:
+            result = u if result is None else (result * u) >> W
+        k >>= 1
+        if not k:
+            return result
+        u = (u * u) >> W
 
 
 def euler_product_truncated(
@@ -616,19 +705,27 @@ def nonvanishing_limit(
     def sieve_values(*parts):
         """One Moebius sum per part (types, corr_lower, corr_upper), all in
         one prime loop; a part's rows divide out the zeta factors of
-        corr_lower < ind < corr_upper, one cyclotomic zeta factor per orbit."""
+        corr_lower < ind < corr_upper, one cyclotomic zeta factor per orbit.
+        A sum within its rounding bound is exactly 0: sum |mu prod| times
+        each product's stated bound plus 2^-prec for the product by mu."""
         rows, weights = [], []
         for j, (types, corr_lower, corr_upper) in enumerate(parts):
             corrections = tuple(e for e in entries if corr_lower < e[1] < corr_upper)
             rows += [(H, corrections) for H, _ in types]
             weights += [(j, mu) for _, mu in types]
-        return {
-            mark: [
-                mp.fsum(mu * prod for (part, mu), prod in zip(weights, prods) if part == j)
-                for j in range(len(parts))
-            ]
-            for mark, _, prods in _euler_products(G, Fraction(1, d), p_max, rows)
-        }
+        bounds: list = []
+        marks = list(_euler_products(G, Fraction(1, d), p_max, rows, bounds=bounds))
+        unit = mp.ldexp(1, -mp.prec)
+        values = {}
+        for (mark, _, prods), errors in zip(marks, bounds):
+            values[mark] = []
+            for j in range(len(parts)):
+                terms = [(mu * prod, error) for (part, mu), prod, error
+                         in zip(weights, prods, errors) if part == j]
+                value = mp.fsum(t for t, _ in terms)
+                bound = mp.fsum(abs(t) * (error + unit) for t, error in terms)
+                values[mark].append(mp.zero if abs(value) <= bound else value)
+        return values
 
     with mp.workdps(dps + 10):
         if case in ("case_i", "case_ii", "case_iv"):

@@ -4,7 +4,7 @@ import json
 import os
 from contextlib import redirect_stdout
 
-from malle_lab import cli
+from malle_lab import cli, series
 from malle_lab.cli import run
 from malle_lab.oracle import BudgetExceededError
 
@@ -118,6 +118,25 @@ class TestSeriesAndCoeffs:
         argv = ["series", "C1", "--s", "2", "--pmax", "10", "--surjective"]
         assert invoke(argv)[0] == 2
         assert "trivial group" in capsys.readouterr().err
+
+    def test_series_zero_denominator_is_usage_error(self, capsys):
+        assert invoke(["series", "C2", "--s", "1/0", "--pmax", "100"])[0] == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    def test_surjective_residual_is_usage_error(self, capsys):
+        argv = ["series", "C2xC2", "--s", "1", "--pmax", "100", "--surjective", "--mode", "residual"]
+        assert invoke(argv)[0] == 2
+        assert "--mode residual" in capsys.readouterr().err
+
+    def test_prime_bound_above_the_cap_is_budget_error(self, monkeypatch, capsys):
+        def no_sieve(n):
+            raise AssertionError("the primes were sieved before the cap was checked")
+
+        monkeypatch.setattr(series, "primes_up_to", no_sieve)
+        p_max = str(series.EULER_PRIME_CAP + 1)
+        assert invoke(["series", "C2", "--s", "2", "--pmax", p_max])[0] == 3
+        assert invoke(["sieve-check", "C4", "--d", "3", "--pmax", p_max])[0] == 3
+        assert "exceeds the cap" in capsys.readouterr().err
 
     def test_coeffs_stdout(self):
         code, out = invoke(["coeffs", "C2", "--max", "10", "--surjective"])

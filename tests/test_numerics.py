@@ -1,0 +1,25 @@
+from hypothesis import given
+from hypothesis import strategies as st
+
+from malle_lab.numerics import integer_root
+
+
+@given(st.integers(min_value=0, max_value=2**4000), st.integers(min_value=1, max_value=16))
+def test_integer_root_brackets_x(x, k):
+    r = integer_root(x, k)
+    assert r**k <= x < (r + 1) ** k
+
+
+@given(st.integers(min_value=0, max_value=4000), st.integers(min_value=1, max_value=16))
+def test_integer_root_of_a_power_of_two(e, k):
+    # past 2^1024 a float root of x overflows; near powers the seed is tightest
+    for x in (2**e - 1, 2**e, 2**e + 1):
+        if x >= 0:
+            r = integer_root(x, k)
+            assert r**k <= x < (r + 1) ** k
+
+
+def test_integer_root_large_exact_powers():
+    assert integer_root(2**1100, 4) == 2**275
+    assert integer_root(3**2000, 16) == 3**125
+    assert integer_root(3**2000 - 1, 16) == 3**125 - 1

@@ -9,6 +9,7 @@ import sieve_reference
 from conftest import all_abelian_groups
 from lattice_bfs import subgroup_lattice
 from malle_lab.groups import (
+    GroupTooLargeError,
     element_order,
     full_subgroup,
     make_group,
@@ -283,6 +284,21 @@ class TestEulerProduct:
                             expected *= factor
                         assert abs(prod / expected - 1) < mp.mpf("1e-45"), (str(G), s, H.order)
 
+    def test_prime_bound_above_the_cap(self, monkeypatch):
+        def no_sieve(n):
+            raise AssertionError("the primes were sieved before the cap was checked")
+
+        monkeypatch.setattr(series, "primes_up_to", no_sieve)
+        G, p_max = make_group([2]), series.EULER_PRIME_CAP + 1
+        for call in (
+            lambda: euler_product_truncated(G, 2, p_max),
+            lambda: residue_main_term(G, p_max),
+            lambda: nonvanishing_limit(G, 1, p_max),
+            lambda: sieve_to_surjective(G, 2, p_max),
+        ):
+            with pytest.raises(GroupTooLargeError, match="prime bound"):
+                call()
+
     def test_caches_hold_one_entry_per_row_and_class(self):
         cases = (
             (make_group([2]), 20000, lambda G, p_max: residue_main_term(G, p_max)),
@@ -297,6 +313,54 @@ class TestEulerProduct:
             bound = len(sieve_types(G)) * len(classes)
             assert restricted_local_factor.cache_info().currsize <= bound
             assert zeta_local_data.cache_info().currsize <= bound
+
+
+def _per_prime_products(G, rows, s, p_max):
+    """Each row's product as the mpf product of its per-prime factors."""
+    out = []
+    for H, corrections in rows:
+        prod = mp.mpf(1)
+        for p in primes_up_to(p_max):
+            u = mp.power(mp.root(p, s.denominator), -s.numerator)
+            factor = restricted_local_factor(G, H, p).value(s)
+            for m, ind in corrections:
+                f_p, g_p = zeta_local_data(m, p)
+                factor *= (1 - u ** (ind * f_p)) ** g_p
+            prod *= factor
+        out.append(prod)
+    return out
+
+
+class TestFixedPointKernel:
+    """The fixed-point prime loop against the per-prime mpf product at 30 more
+    digits, within the relative rounding bound the loop states for each row."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 7, 16])  # isqrt, Newton and q = 1
+    @pytest.mark.parametrize("dps", [15, 50, 100])
+    def test_within_the_stated_bound(self, dps, q):
+        G, p_max, s = make_group([6]), 300, Fraction(1, q)
+        H, entries = full_subgroup(G), zeta_factorization(G).entries
+        with mp.workdps(30):  # enough copies of 1/zeta(s) to fall below 1e-10 at p = 2
+            at_two, copies = restricted_local_factor(G, H, 2).value(s), 0
+            while at_two >= 1e-10:
+                at_two, copies = at_two * (1 - mp.mpf(2) ** -s), copies + 1
+        rows = [
+            (H, ()),  # grows to about 3e17 at q = 16
+            (H, entries),  # the residual product
+            (H, ((1, 1),) * 6),  # shrinks over the primes
+            (H, ((1, 1),) * copies),  # below 1e-10 from p = 2 on
+        ]
+        with mp.workdps(dps):
+            prec, bounds = mp.prec, []
+            marks = list(_euler_products(G, s, p_max, rows, bounds=bounds))
+        with mp.workdps(dps + 30):
+            for (mark, p, prods), bound_row in zip(marks, bounds):
+                refs = _per_prime_products(G, rows, s, p or mark)
+                for i, (prod, ref, bound) in enumerate(zip(prods, refs, bound_row)):
+                    assert abs(prod / ref - 1) <= bound, (p, i)
+            # the guard bits keep the loop's own rounding far below mp.prec
+            # on the rows without expanded powers of 1/zeta
+            assert all(b <= 2 * mp.mpf(2) ** -prec for b in bounds[-1][:2])
 
 
 # C4, C6 and C3xC6 add nonvanishing cases ii, iii and iv to the case i of the rest
@@ -583,6 +647,27 @@ class TestNonvanishing:
     def test_unsupported(self):
         with pytest.raises(UnsupportedCaseError):
             nonvanishing_limit(make_group([15]), 12, 100)
+
+    @pytest.mark.parametrize("p_max", [200, 300])
+    @pytest.mark.parametrize("order", ["as built", "reversed", "shuffled"])
+    def test_exact_zero_checkpoint(self, monkeypatch, p_max, order):
+        # no C8xC8 extension is ramified at 2 and 3 alone, so the sieve over
+        # p <= 3 is exactly 0 whatever order its rows are summed in
+        built = sieve_types
+
+        def reordered(G):
+            types = list(built(G))
+            if order == "reversed":
+                types.reverse()
+            elif order == "shuffled":
+                random.Random(7).shuffle(types)
+            return tuple(types)
+
+        monkeypatch.setattr(series, "sieve_types", reordered)
+        rep = nonvanishing_limit(make_group([8, 8]), 32, p_max)
+        assert rep.checkpoints[0][1] == 0
+        assert rep.as_dict()["checkpoints"][0][1] == "0.0"
+        assert rep.sign_stable is False
 
 
 def _digits(points):
