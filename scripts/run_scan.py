@@ -23,6 +23,8 @@ def main() -> None:
     parser.add_argument("--out", default="scan.csv")
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
+    if args.jobs < 1:
+        parser.error(f"--jobs {args.jobs} must be at least 1")
 
     started = time.monotonic()
     report = scan_cyclic(args.max, SubconvexityModel(args.model, 1), jobs=args.jobs)

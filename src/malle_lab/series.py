@@ -34,8 +34,9 @@ Every step truncates, so the loop knows its rounding error: for a factor
 f = 1 + sum c u^a it is below sum |c| (2a - 1) units of 2^-W, relative to
 f, and below 2 units per product step; a row's stated relative bound is
 twice their sum over the primes, plus 2^-mp.prec for the final rounding.
-``nonvanishing_limit`` reads a Moebius sum within its summed bound as an
-exact 0; such sums occur where the primes so far admit no surjection.
+``nonvanishing_limit`` and ``sieve_to_surjective`` read a Moebius sum
+within its summed bound as an exact 0; such sums occur where the primes so
+far admit no surjection.
 No prime loop runs past EULER_PRIME_CAP.
 
 The exact Dirichlet coefficients come from the same factors.  They are
@@ -554,6 +555,20 @@ def _add_coefficients(
 # -- the surjection sieve ------------------------------------------------------
 
 
+def _moebius_sum(terms):
+    """Sum of (mu * product, the product's stated relative bound) pairs.
+
+    A sum within its rounding bound is exactly 0: sum |mu prod| times each
+    product's stated bound plus 2^-prec for the product by mu.  Such sums
+    occur where the primes so far admit no surjection.
+    """
+    terms = list(terms)
+    unit = mp.ldexp(1, -mp.prec)
+    value = mp.fsum(t for t, _ in terms)
+    bound = mp.fsum(abs(t) * (error + unit) for t, error in terms)
+    return mp.zero if abs(value) <= bound else value
+
+
 def sieve_to_surjective(
     G: AbelianGroup,
     s: Fraction | int,
@@ -565,6 +580,7 @@ def sieve_to_surjective(
     One product runs per sieve type.  Returns (value, terms) with one
     (subgroup label, mu, product value) per subgroup containing the Frattini
     subgroup, in ``sieve_terms`` order; a subgroup's product is its type's.
+    The value is exactly 0 when within its rounding bound (``_moebius_sum``).
     """
     s = Fraction(s)
     _, a = _sieve_entries(G)
@@ -573,10 +589,13 @@ def sieve_to_surjective(
     dps = dps or precision_digits()
     types = sieve_types(G)
     with mp.workdps(dps + 10):
-        *_, (_, _, prods) = _euler_products(G, s, p_max, [(H, ()) for H, _ in types])
-        total = mp.mpf(0)
-        for (_, mu), prod in zip(types, prods):
-            total += mu * prod
+        bounds: list = []
+        *_, (_, _, prods) = _euler_products(
+            G, s, p_max, [(H, ()) for H, _ in types], bounds=bounds
+        )
+        total = _moebius_sum(
+            (mu * prod, error) for (_, mu), prod, error in zip(types, prods, bounds[-1])
+        )
     by_type = {element_orders(G, H): prod for (H, _), prod in zip(types, prods)}
     terms_out = []
     for H, mu in sieve_terms(G):
@@ -705,9 +724,7 @@ def nonvanishing_limit(
     def sieve_values(*parts):
         """One Moebius sum per part (types, corr_lower, corr_upper), all in
         one prime loop; a part's rows divide out the zeta factors of
-        corr_lower < ind < corr_upper, one cyclotomic zeta factor per orbit.
-        A sum within its rounding bound is exactly 0: sum |mu prod| times
-        each product's stated bound plus 2^-prec for the product by mu."""
+        corr_lower < ind < corr_upper, one cyclotomic zeta factor per orbit."""
         rows, weights = [], []
         for j, (types, corr_lower, corr_upper) in enumerate(parts):
             corrections = tuple(e for e in entries if corr_lower < e[1] < corr_upper)
@@ -715,17 +732,14 @@ def nonvanishing_limit(
             weights += [(j, mu) for _, mu in types]
         bounds: list = []
         marks = list(_euler_products(G, Fraction(1, d), p_max, rows, bounds=bounds))
-        unit = mp.ldexp(1, -mp.prec)
-        values = {}
-        for (mark, _, prods), errors in zip(marks, bounds):
-            values[mark] = []
-            for j in range(len(parts)):
-                terms = [(mu * prod, error) for (part, mu), prod, error
-                         in zip(weights, prods, errors) if part == j]
-                value = mp.fsum(t for t, _ in terms)
-                bound = mp.fsum(abs(t) * (error + unit) for t, error in terms)
-                values[mark].append(mp.zero if abs(value) <= bound else value)
-        return values
+        return {
+            mark: [
+                _moebius_sum((mu * prod, error) for (part, mu), prod, error
+                             in zip(weights, prods, errors) if part == j)
+                for j in range(len(parts))
+            ]
+            for (mark, _, prods), errors in zip(marks, bounds)
+        }
 
     with mp.workdps(dps + 10):
         if case in ("case_i", "case_ii", "case_iv"):

@@ -9,15 +9,20 @@ D = 2a.  The subconvexity model supplies mu: degree/4 for convexity,
 degree/6 for the known unconditional bound, 0 under Lindelof, where the
 degree of the orbit L-function is |orbit| * [K:Q].  One kernel evaluates
 it: on Fractions for ``theta_best``, on ints in the cyclic scan; no floats.
+
+theta(D) is unimodal: past weight w_j its slope has the sign of S_j - a(k + C_j),
+C_j and S_j summing c and c w up to w_j.  That grows by c (w - a) >= 0 per class,
+so ``_theta_min`` stops at the first w_j with S_j >= a(k + C_j), or at 2a.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import AbelianGroup, Element
+from .groups import AbelianGroup, Element, GroupTooLargeError
 from .invariants import (
     GaloisActionSpec,
     OrbitData,
@@ -25,6 +30,9 @@ from .invariants import (
     classify_case,
     nonidentity_orbits,
 )
+
+SCAN_CAP = 200_000
+SCAN_BLOCK = 1 << 14
 
 _PRESET_SLOPES = {"soehne": Fraction(1, 3), "convexity": Fraction(1, 2), "lindelof": Fraction(0)}
 
@@ -36,6 +44,10 @@ class SubconvexityModel:
     kind: str
     deg_k: int = 1
     table: tuple[tuple[Element, Fraction], ...] | None = None
+
+    def __post_init__(self):
+        if self.deg_k < 1:
+            raise ValueError(f"[K:Q] = {self.deg_k} must be at least 1")
 
     def slope(self) -> Fraction:
         """2 mu per element of the orbit, the same for every orbit of a preset model."""
@@ -109,29 +121,46 @@ def vertical_exponent(
     return total
 
 
-def _theta_table(classes, k, candidates=None):
-    """(D, numerator, denominator) of the bound at each candidate D, and the first minimum.
+def _bound_at(k, a, C, S, D):
+    """(D, numerator, denominator) of the bound at D, with C and S summing c and
+    c w over the classes of weight w < D: T = C D - S is the sum of c (D - w)
+    there, and the bound is (k a + T) / (a (k D + T))."""
+    T = C * D - S
+    return D, k * a + T, a * (k * D + T)
 
-    classes are (w, c_w) by ascending weight, c_w = k * (sum of 2 mu over the
-    orbits of weight w); with T = sum over w < D of c_w (D - w) the bound is
-    (k a + T) / (a (k D + T)).  Candidates default to the weights below 2a, and 2a.
+
+def _theta_min(a, classes, k):
+    """(D, numerator, denominator) at the first minimum of the bound over the candidates.
+
+    classes iterates (w, c_w) by ascending weight from w = a, with c_w = k *
+    (sum of 2 mu over the orbits of weight w) >= 0 and k > 0; the candidates
+    are the weights below 2a, and 2a.  A lazy iterable is read only up to
+    the turning point.
     """
+    C = S = 0
+    for w, c in classes:
+        if w >= 2 * a:
+            break
+        if S + c * w >= a * (k + C + c):  # the slope past w is >= 0
+            return _bound_at(k, a, C, S, w)
+        C += c
+        S += c * w
+    return _bound_at(k, a, C, S, 2 * a)
+
+
+def _candidate_table(classes, k):
+    """(D, numerator, denominator) at every candidate D, from the same running sums."""
     a = classes[0][0]
-    if candidates is None:
-        candidates = [w for w, _ in classes if w < 2 * a] + [2 * a]
+    C = S = 0
     table = []
-    for D in candidates:
-        T = 0
-        for w, c in classes:
-            if w >= D:
-                break
-            T += c * (D - w)
-        table.append((D, k * a + T, a * (k * D + T)))
-    best = table[0]
-    for entry in table[1:]:
-        if entry[1] * best[2] < best[1] * entry[2]:
-            best = entry
-    return table, best
+    for w, c in classes:
+        if w >= 2 * a:
+            break
+        table.append(_bound_at(k, a, C, S, w))
+        C += c
+        S += c * w
+    table.append(_bound_at(k, a, C, S, 2 * a))
+    return table
 
 
 def _orbit_classes(G, action, wt, model) -> list[tuple[Fraction, Fraction]]:
@@ -161,7 +190,8 @@ def theta_at_D(
     a = classes[0][0]
     if not a <= D <= 2 * a:
         raise ValueError(f"D = {D} outside [{a}, {2 * a}]")
-    _, (_, num, den) = _theta_table(classes, 1, [D])
+    below = [(w, c) for w, c in classes if w < D]
+    _, num, den = _bound_at(1, a, sum(c for _, c in below), sum(c * w for w, c in below), D)
     return num / den
 
 
@@ -174,8 +204,8 @@ def theta_best(
     """Minimize the bound over the candidate shifts (spectrum plus 2a)."""
     classes = _orbit_classes(G, action, wt, model)
     a = classes[0][0]
-    rows, (witness, num, den) = _theta_table(classes, 1)
-    table = tuple((D, n / d) for D, n, d in rows)
+    witness, num, den = _theta_min(a, classes, 1)
+    table = tuple((D, n / d) for D, n, d in _candidate_table(classes, 1))
     values = [v for _, v in table]
     # convex in D: no interior strict local maximum among the candidates
     for i in range(1, len(values) - 1):
@@ -190,13 +220,9 @@ def theta_best(
 
 def theta_ram(G: AbelianGroup, deg_k: int = 1) -> Fraction:
     """Unconditional bound for the product-of-ramified-primes ordering."""
+    model = SubconvexityModel.soehne(deg_k)
     value = 1 - Fraction(3, 6 + deg_k * (G.order - 1))
-    best = theta_best(
-        G,
-        GaloisActionSpec.cyclotomic(G),
-        WeightFn.ram(),
-        SubconvexityModel.soehne(deg_k),
-    )
+    best = theta_best(G, GaloisActionSpec.cyclotomic(G), WeightFn.ram(), model)
     assert best.bound == value, "closed form disagrees with the optimizer"
     return value
 
@@ -253,60 +279,36 @@ def _phi_sieve(n: int) -> list[int]:
     return phi
 
 
-def _spf_sieve(n: int) -> list[int]:
-    spf = list(range(n + 1))
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            for k in range(p * p, n + 1, p):
-                if spf[k] == k:
-                    spf[k] = p
-    return spf
+def _scan_block(lo: int, hi: int, cn: int, cd: int, phi: list[int]) -> list[tuple]:
+    """(n, a, d2, num, den, flag_i, case) for each composite n in [lo, hi), lo >= 4.
 
-
-def _divisors_and_radical(n: int, spf: list[int]) -> tuple[list[int], int]:
-    """Sorted divisors and the radical of n, from the smallest-prime-factor sieve."""
-    divs = [1]
-    rad = 1
-    m = n
-    while m > 1:
-        p = spf[m]
-        rad *= p
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    divs.sort()
-    return divs, rad
-
-
-def _scan_chunk(
-    lo: int, hi: int, cn: int, cd: int, phi: list[int], spf: list[int]
-) -> list[ScanRow]:
-    """Rows for composite n in [lo, hi); the sieves must reach hi - 1."""
-    rows: list[ScanRow] = []
-    for n in range(max(lo, 4), hi):
-        if spf[n] == n:
+    Sieves the divisors e <= sqrt(n) of the block's n; their co-divisors n // e
+    in reverse order complete the ascending list.  phi must reach hi - 1; a
+    divisor e is prime iff phi(e) = e - 1, which gives rad(n).
+    """
+    small = [[1] for _ in range(lo, hi)]
+    for e in range(2, math.isqrt(hi - 1) + 1):
+        for i in range(max(e * e, -(-lo // e) * e) - lo, hi - lo, e):
+            small[i].append(e)
+    rows = []
+    for n, low in zip(range(lo, hi), small):
+        if len(low) == 1:  # n is prime
             continue
-        divs, rad = _divisors_and_radical(n, spf)
-        divs = divs[1:]  # drop 1
-        inds = [n - n // e for e in divs]
-        a, d2 = inds[0], inds[1]
-        classes = [(ind, cn * phi[e]) for e, ind in zip(divs, inds)]
-        _, (_, num, den) = _theta_table(classes, cd)
+        divs = low[1:] + [n // e for e in reversed(low) if e * e != n]
+        a, d2 = n - n // divs[0], n - n // divs[1]
+        _, num, den = _theta_min(a, ((n - n // e, cn * phi[e]) for e in divs), cd)
         flag_i = num * d2 < den
         case = "none"
         if flag_i:  # otherwise no larger index has theta < 1/d either
-            m = n // rad
-            for d in inds[1:]:
+            m = n // math.prod(e for e in divs if phi[e] == e - 1)
+            for e in divs[1:]:
+                d = n - n // e
                 if num * d >= den:
                     break
                 case = classify_case(n, d, divs, m, True)
                 if case != "none":
                     break
-        rows.append(
-            ScanRow(n, a, d2, Fraction(num, den), flag_i, case != "none", case)
-        )
+        rows.append((n, a, d2, num, den, flag_i, case))
     return rows
 
 
@@ -322,30 +324,36 @@ def scan_cyclic(
     additionally demands an index d > a with theta < 1/d, a proved
     non-vanishing case, and bbar_d >= 1 (automatic with the default
     zeta-order hook since every index of a cyclic group has b_d = 1).
+    The n run in blocks of at most SCAN_BLOCK, serially or on `jobs`
+    worker processes; n_max above SCAN_CAP raises GroupTooLargeError.
     """
     if n_max < 4:
         raise ValueError("scan needs n_max >= 4")
+    if jobs < 1:
+        raise ValueError(f"jobs = {jobs} must be at least 1")
+    if n_max > SCAN_CAP:
+        raise GroupTooLargeError(f"scan bound {n_max} exceeds the cap {SCAN_CAP}")
     model = model or SubconvexityModel.soehne()
     slope = model.slope()
     cn, cd = slope.numerator, slope.denominator
     phi = _phi_sieve(n_max)
-    spf = _spf_sieve(n_max)
+    step = max(256, min(SCAN_BLOCK, (n_max - 4) // (4 * jobs) + 1))
+    blocks = [(lo, min(lo + step, n_max), cn, cd, phi) for lo in range(4, n_max, step)]
     if jobs > 1:
         import multiprocessing
 
-        step = max(256, (n_max - 4) // (4 * jobs) + 1)
-        spans = [(lo, min(lo + step, n_max)) for lo in range(4, n_max, step)]
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            parts = pool.starmap(
-                _scan_chunk, [(lo, hi, cn, cd, phi, spf) for lo, hi in spans]
-            )
-        rows = [row for part in parts for row in part]
+            parts = pool.starmap(_scan_block, blocks)
     else:
-        rows = _scan_chunk(4, n_max, cn, cd, phi, spf)
-    rows.sort(key=lambda r: r.n)
+        parts = itertools.starmap(_scan_block, blocks)
+    rows = tuple(
+        ScanRow(n, a, d2, Fraction(num, den), flag_i, case != "none", case)
+        for part in parts
+        for n, a, d2, num, den, flag_i, case in part
+    )
     count_i = sum(1 for r in rows if r.flag_i)
     count_ii = sum(1 for r in rows if r.flag_ii)
-    return ScanReport(n_max, model.kind, len(rows), count_i, count_ii, tuple(rows))
+    return ScanReport(n_max, model.kind, len(rows), count_i, count_ii, rows)
 
 
 # -- dual Selmer size ----------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 import os
 from contextlib import redirect_stdout
 
-from malle_lab import cli, series
+from malle_lab import cli, series, theta
 from malle_lab.cli import run
 from malle_lab.oracle import BudgetExceededError
 
@@ -38,6 +38,11 @@ class TestExitCodes:
     def test_budget_error(self):
         # coefficient bound beyond the configured cap
         assert invoke(["coeffs", "C2", "--max", "10000000"])[0] == 3
+
+    def test_degree_below_one_is_usage_error(self):
+        # --degK -1 printed the bound 1/8, below the Lindelof 1/4
+        for deg in ("0", "-1"):
+            assert invoke(["theta", "C3", "--degK", deg])[0] == 2
 
     def test_oracle_budget_error(self, monkeypatch):
         def over_budget(*args, **kwargs):
@@ -99,6 +104,29 @@ class TestScan:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 152
         assert rows[0]["n"] == "4" and rows[0]["theta"] == "5/16"
+
+    def test_jobs_below_one_is_usage_error(self):
+        # --jobs -2 ran serially
+        for jobs in ("0", "-2"):
+            assert invoke(["scan-cyclic", "--max", "200", "--jobs", jobs])[0] == 2
+
+    def test_jobs_default_to_every_core(self, monkeypatch):
+        seen = []
+
+        def record(n_max, model, jobs):
+            seen.append(jobs)
+            return theta.scan_cyclic(n_max, model)
+
+        monkeypatch.setattr(cli, "scan_cyclic", record)
+        payload(["scan-cyclic", "--max", "50"])
+        assert seen == [os.cpu_count() or 1]
+
+    def test_bound_above_the_cap_is_budget_error(self, monkeypatch):
+        def no_sieve(n):
+            raise AssertionError("the sieve ran before the cap was checked")
+
+        monkeypatch.setattr(theta, "_phi_sieve", no_sieve)
+        assert invoke(["scan-cyclic", "--max", str(theta.SCAN_CAP + 1), "--jobs", "1"])[0] == 3
 
 
 class TestSeriesAndCoeffs:

@@ -10,7 +10,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(tmp_path, script: str, *args: str, folder: str = "scripts") -> str:
+def _run(tmp_path, script: str, *args: str, folder: str = "scripts", returncode: int = 0) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -23,7 +23,7 @@ def _run(tmp_path, script: str, *args: str, folder: str = "scripts") -> str:
         text=True,
         timeout=300,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == returncode, done.stderr
     return done.stdout
 
 
@@ -39,6 +39,10 @@ def test_run_scan(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n,a,d2,theta,flag_i,flag_ii,case"
     assert len(lines) == summary["composite_count"] + 1
+
+
+def test_run_scan_rejects_jobs_below_one(tmp_path):
+    _run(tmp_path, "run_scan.py", "--max", "500", "--jobs", "0", returncode=2)
 
 
 def test_main_term_regression(tmp_path):

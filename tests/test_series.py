@@ -407,6 +407,17 @@ class TestSieve:
                 assert [m for m, _ in rep.checkpoints] == [m for m, _ in ref]
                 assert all(_close(v, r) for (_, v), (_, r) in zip(rep.checkpoints, ref)), d
 
+    @pytest.mark.parametrize("factors,s,p_max", [
+        ([2, 2, 2, 2], Fraction(1, 7), 3),
+        ([2, 2, 2], Fraction(1, 3), 2),
+    ])
+    def test_exact_zero_sum(self, factors, s, p_max):
+        # no C2^4 (C2^3) extension is ramified at 2 and 3 (at 2) alone: the
+        # sum printed rounding noise near 1e-59 instead of 0
+        value, _ = sieve_to_surjective(make_group(factors), s, p_max)
+        assert value == 0
+        assert mp.nstr(value, 30) == "0.0"
+
     def test_c2_full_minus_one(self):
         G = make_group([2])
         value, terms = sieve_to_surjective(G, Fraction(3, 2), 500)

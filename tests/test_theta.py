@@ -1,10 +1,13 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
+import scan_reference
 from conftest import all_abelian_groups, random_abelian_group
-from malle_lab.groups import make_group
+from malle_lab import theta
+from malle_lab.groups import GroupTooLargeError, make_group
 from malle_lab.invariants import (
     GaloisActionSpec,
     WeightFn,
@@ -15,6 +18,7 @@ from malle_lab.invariants import (
 )
 from malle_lab.numerics import factorize
 from malle_lab.theta import (
+    SCAN_CAP,
     SubconvexityModel,
     dual_selmer_size,
     scan_cyclic,
@@ -166,6 +170,58 @@ class TestThetaBest:
                     theta_at_D(G, act, DISC, SubconvexityModel.soehne(), D)
 
 
+class TestThetaMin:
+    @staticmethod
+    def _models(G, wt, deg, rng):
+        """The three presets and two seeded custom models with mu >= 0, some 0."""
+        models = [SubconvexityModel(kind, deg) for kind in ("soehne", "convexity", "lindelof")]
+        reps = [o.representative for o in nonidentity_orbits(G, cyc(G), wt)]
+        for _ in range(2):
+            mu = {r: Fraction(rng.randint(0, 4), rng.randint(1, 6)) for r in reps}
+            models.append(SubconvexityModel.custom(mu, deg))
+        return models
+
+    def test_turning_point_is_the_table_minimum(self):
+        # the walk that stops at the turning point against the minimum of
+        # the full table, and theta_best's linear table against the full one
+        rng = random.Random(13)
+        for G in all_abelian_groups(64):
+            for wt in (DISC, RAM):
+                for deg in (1, 2):
+                    for model in self._models(G, wt, deg, rng):
+                        classes = theta._orbit_classes(G, cyc(G), wt, model)
+                        table, best = scan_reference.theta_table(classes, 1)
+                        assert theta._theta_min(classes[0][0], iter(classes), 1) == best
+                        result = theta_best(G, cyc(G), wt, model)
+                        assert result.witness_d == best[0], (G, model)
+                        assert result.candidates == tuple((D, n / d) for D, n, d in table)
+
+    def test_flat_piece_takes_its_first_weight(self):
+        # C4 with 2 mu = 2 on its weight-3 orbit: the slope past D = 3 is 0,
+        # so theta(3) = theta(4) and the first minimum is D = 3
+        G = make_group([4])
+        reps = {o.weight: o.representative for o in nonidentity_orbits(G, cyc(G), DISC)}
+        model = SubconvexityModel.custom({reps[2]: Fraction(1, 5), reps[3]: Fraction(1)})
+        result = theta_best(G, cyc(G), DISC, model)
+        values = dict(result.candidates)
+        assert values[3] == values[4] == result.bound
+        assert result.witness_d == 3
+
+    def test_degree_below_one_rejected(self):
+        rep = nonidentity_orbits(make_group([3]), cyc(make_group([3])), DISC)[0].representative
+        for deg in (0, -1):
+            for make in (
+                SubconvexityModel.soehne,
+                SubconvexityModel.convexity,
+                SubconvexityModel.lindelof,
+                lambda d: SubconvexityModel.custom({rep: Fraction(1, 3)}, d),
+            ):
+                with pytest.raises(ValueError, match="at least 1"):
+                    make(deg)
+        with pytest.raises(ValueError, match="at least 1"):
+            theta_ram(make_group([4]), -2)  # 6 + deg (|G| - 1) = 0
+
+
 class TestThetaRam:
     @pytest.mark.parametrize(
         "factors,deg,expected",
@@ -247,15 +303,58 @@ class TestScan:
         parallel = scan_cyclic(1500, jobs=3)
         assert serial.rows == parallel.rows
 
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["soehne", "convexity", "lindelof"])
+    @pytest.mark.parametrize("n_max", [4, 5, 6, 17, 257, 3000])
+    def test_rows_match_reference(self, n_max, kind, jobs):
+        # 5, 17 and 257 end their last block at the square 4, 16 and 256
+        model = SubconvexityModel(kind)
+        report = scan_cyclic(n_max, model, jobs=jobs)
+        assert list(report.rows) == _reference_rows(n_max, kind)
+        assert report.composite_count == len(report.rows)
+
+    def test_blocks_with_square_edges(self):
+        # blocks that start, end or stop one short of a square m^2
+        n_max = 1700
+        phi = theta._phi_sieve(n_max)
+        edges = sorted({4, n_max} | {m * m + t for m in range(3, 41) for t in (-1, 0, 1)})
+        rows = []
+        for lo, hi in zip(edges, edges[1:]):
+            rows += theta._scan_block(lo, hi, 1, 3, phi)
+        expected = _reference_rows(n_max, "soehne")
+        assert [(n, a, d2, Fraction(num, den), flag_i, case != "none", case)
+                for n, a, d2, num, den, flag_i, case in rows] == [
+            (r.n, r.a, r.d2, r.theta, r.flag_i, r.flag_ii, r.case) for r in expected
+        ]
+
     def test_rejects_small_bound(self):
         with pytest.raises(ValueError):
             scan_cyclic(3)
+
+    def test_rejects_jobs_below_one(self):
+        for jobs in (0, -2):
+            with pytest.raises(ValueError, match="at least 1"):
+                scan_cyclic(100, jobs=jobs)
+
+    def test_bound_above_the_cap(self, monkeypatch):
+        def no_sieve(n):
+            raise AssertionError("the sieve ran before the cap was checked")
+
+        monkeypatch.setattr(theta, "_phi_sieve", no_sieve)
+        for jobs in (1, 2):
+            with pytest.raises(GroupTooLargeError, match="exceeds the cap"):
+                scan_cyclic(SCAN_CAP + 1, jobs=jobs)
 
     def test_rejects_custom_model(self):
         G = make_group([3])
         rep = nonidentity_orbits(G, cyc(G), DISC)[0].representative
         with pytest.raises(ValueError):
             scan_cyclic(100, SubconvexityModel.custom({rep: Fraction(1, 3)}))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_rows(n_max, kind):
+    return scan_reference.scan_rows(n_max, SubconvexityModel(kind))
 
 
 class TestDualSelmer:
