@@ -3,7 +3,8 @@
 Every subcommand prints a JSON document to stdout (or CSV to --out) whose
 "manifest" block records the argv, library version, precision, wall time,
 and a checksum of the payload, so any reported number can be re-derived.
-Exit codes: 0 success, 2 usage error, 3 budget or size error.
+Exit codes: 0 success, 2 usage error (a malformed argument, or a file that
+cannot be read or written), 3 budget or size error.
 """
 
 from __future__ import annotations
@@ -196,17 +197,34 @@ def _cmd_tauberian(args, argv, started) -> int:
         }
         _emit(payload, started, argv)
         return 0
-    counts = []
-    with open(args.counts, newline="") as handle:
-        for row in csv.reader(handle):
-            if row and not row[0].lstrip("-").replace(".", "").isdigit():
-                continue  # header
-            if row:
-                counts.append((float(row[0]), float(row[1])))
+    counts = _read_counts(args.counts)
     main = _parse_main_term(args.main)
     slope, ci = fit_exponent(counts, main)
     _emit({"fitted_exponent": slope, "ci95": ci, "samples": len(counts)}, started, argv)
     return 0
+
+
+def _read_counts(path: str) -> list[tuple[float, float]]:
+    """(X, N) samples from a two-column CSV; its first row may be a header.
+
+    Blank rows are skipped; any other row that is not two finite numbers is
+    a usage error naming its line.
+    """
+    counts = []
+    with open(path, newline="") as handle:
+        for line, row in enumerate(csv.reader(handle), 1):
+            if not row:
+                continue
+            try:
+                x, n = (float(field) for field in row)
+                ok = math.isfinite(x) and math.isfinite(n)
+            except ValueError:
+                ok = False
+            if ok:
+                counts.append((x, n))
+            elif line > 1:
+                raise UsageError(f"{path} line {line}: expected two numbers X,N, got {row!r}")
+    return counts
 
 
 def _parse_main_term(spec: str):
@@ -257,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "scan-cyclic",
-        help="scan composite n for lower order terms, --max up to 2e5 (3 s, 95-126 MiB there)",
+        help="scan composite n for lower order terms, --max up to 2e5 (2-4 s, 95-99 MiB there)",
     )
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--model", default="soehne")
@@ -328,7 +346,7 @@ def run(argv: list[str]) -> int:
     except (GroupTooLargeError, BudgetExceededError, MemoryError) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a file named on the command line
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,9 +5,10 @@ subgroup poset carries a Moebius function (P. Hall's closed form) used by
 the surjection sieve.  The sieve needs only the subgroups containing the
 Frattini subgroup Phi(G); they are built directly as the preimages of the
 subspaces of G/Phi(G), a product over p of F_p^(r_p).  The sieve's rows
-are types, not subgroups: every sieve quantity depends on a subgroup only
-through its element-order histogram, so ``sieve_types`` folds the
-subgroups of one histogram into one row with the summed Moebius weight.
+are histograms, not subgroups: every sieve quantity depends on a subgroup
+only through its element-order histogram (``element_orders``), so
+``sieve_types`` folds the subgroups of one histogram into one row: the
+histogram with the summed Moebius weight.
 Groups are fully enumerated below a configurable cap; large groups beyond
 the cap are only touched through divisor arithmetic elsewhere.
 """
@@ -268,24 +269,30 @@ def sieve_terms(G: AbelianGroup) -> tuple[tuple[Subgroup, int], ...]:
     return tuple((H, _hall_moebius(G.order // H.order)) for H in subs)
 
 
+Histogram = tuple[tuple[int, int], ...]
+
+
 @lru_cache(maxsize=None)
-def element_orders(G: AbelianGroup, H: Subgroup) -> tuple[tuple[int, int], ...]:
-    """(order, number of elements of that order) over H, the identity included."""
+def element_orders(G: AbelianGroup, H: Subgroup | None = None) -> Histogram:
+    """(order, number of elements of that order) over H (or G), identity included."""
+    if H is None:  # G is its own top sieve subgroup, whose histogram may be cached
+        return element_orders(G, full_subgroup(G))
     return tuple(sorted(Counter(element_order(G, g) for g in H.elements).items()))
 
 
 @lru_cache(maxsize=None)
-def sieve_types(G: AbelianGroup) -> tuple[tuple[Subgroup, int], ...]:
-    """One (representative H, summed mu) per element-order histogram.
+def sieve_types(G: AbelianGroup) -> tuple[tuple[Histogram, int], ...]:
+    """One (element-order histogram, summed mu) per type of sieve subgroup.
 
     The histogram is H's isomorphism type and fixes every sieve quantity.
-    A type's representative is its first subgroup in ``sieve_terms``, and
-    the types come in that order: 7 for the 2,825 sieve subgroups of C2^6.
+    The types come in the order of their first subgroups in ``sieve_terms``:
+    7 for the 2,825 sieve subgroups of C2^6.
     """
-    types: dict = {}
+    types: dict[Histogram, int] = {}
     for H, mu in sieve_terms(G):
-        types.setdefault(element_orders(G, H), [H, 0])[1] += mu
-    return tuple((H, mu) for H, mu in types.values())
+        orders = element_orders(G, H)
+        types[orders] = types.get(orders, 0) + mu
+    return tuple(types.items())
 
 
 def aut_order(G: AbelianGroup) -> int:

@@ -8,10 +8,16 @@ unit.  Orbits of that action, weighted by an index function, produce the
 exponents and log-powers of the counting asymptotics and the case analysis
 for when lower order terms provably survive the surjection sieve; the cases
 need only the element orders, so they are found without enumerating G.
+
+Under the plain cyclotomic action the orbits are counted, not enumerated:
+``cyclotomic_orbits`` reads them off an element-order histogram (of G or of
+a sieve row), and the series and ``bbar_d`` take their orbits from it.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,10 +26,9 @@ from typing import Callable
 from .groups import (
     AbelianGroup,
     Element,
-    Subgroup,
+    Histogram,
     element_order,
     element_orders,
-    full_subgroup,
     make_group,
     sieve_types,
 )
@@ -75,19 +80,13 @@ class WeightFn:
             w = weight_of(G, wt, g)
             o = element_order(G, g)
             for u in range(1, o):
-                if _gcd(u, o) == 1 and weight_of(G, wt, G.scale(u, g)) != w:
+                if math.gcd(u, o) == 1 and weight_of(G, wt, G.scale(u, g)) != w:
                     raise InvarianceViolation(
                         f"weight not invariant on the orbit of {g}"
                     )
             if (g == G.identity) != (w == 0):
                 raise ValueError("weight must vanish exactly at the identity")
         return wt
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def weight_of(G: AbelianGroup, wt: WeightFn, g: Element) -> Fraction:
@@ -163,7 +162,7 @@ class GaloisActionSpec:
         gens = []
         for u in units:
             u %= exp if exp > 1 else 1
-            if exp > 1 and _gcd(u, exp) != 1:
+            if exp > 1 and math.gcd(u, exp) != 1:
                 raise ValueError(f"{u} is not a unit mod {exp}")
             gens.append((G.basis(), u if exp > 1 else 1))
         if not gens:
@@ -252,30 +251,42 @@ def default_zeta_order_hook(m: int, x: Fraction) -> int:
     return 0
 
 
-def _type_bbar(G: AbelianGroup, d: int, zeta_ord_hook: ZetaOrderHook, H: Subgroup) -> int:
-    """bbar at s = 1/d of a subgroup H of G, from its element counts k_e.
+@lru_cache(maxsize=None)
+def cyclotomic_orbits(G: AbelianGroup, orders: Histogram) -> tuple[tuple[int, int], ...]:
+    """(order e, index n - n/e in G) once per cyclotomic orbit of the nonidentity
+    elements counted by the histogram ``orders`` (of G or of a subgroup).
 
-    Scaled by [G:H], the index in H of an element of order e is ind_G(e), so
-    H enters through its elements of the order e_d with ind_G(e_d) = d, or
-    not at all.  Its k_e elements of order e form k_e / phi(e) cyclotomic
-    orbits, and bbar is k_{e_d} / phi(e_d) minus, for every e with
-    ind_G(e) < d, k_e / phi(e) times the hook at ind_G(e) / d, clamped at 0.
+    The units act transitively on the generators of each cyclic subgroup,
+    so the k_e elements of order e form k_e / phi(e) orbits; they come by
+    ascending order, which is ascending index.
     """
     n = G.order
-    ind = {e: n - n // e for e in divisors(G.exponent) if e > 1}
-    e_d = next((e for e, i in ind.items() if i == d), None)
-    if e_d is None:
+    return tuple(
+        (e, n - n // e) for e, k in orders if e > 1 for _ in range(k // euler_phi(e))
+    )
+
+
+def _type_bbar(G: AbelianGroup, d: int, zeta_ord_hook: ZetaOrderHook, orders: Histogram) -> int:
+    """bbar at s = 1/d of a subgroup of G with element-order histogram ``orders``.
+
+    Scaled by [G:H], the index in H of an element of order e is ind_G(e), so
+    H enters through its orbits of index d, or not at all.  bbar is their
+    number minus, for every orbit of index ind < d, the hook at ind / d,
+    clamped at 0.
+    """
+    n = G.order
+    if d not in {n - n // e for e in divisors(G.exponent) if e > 1}:
         raise ValueError(f"{d} is not in the index spectrum of {G}")
-    counts = dict(element_orders(G, H))
-    if e_d not in counts:
+    counts = Counter(cyclotomic_orbits(G, orders))
+    bbar = sum(k for (_, ind), k in counts.items() if ind == d)
+    if not bbar:
         return 0
-    bbar = counts[e_d] // euler_phi(e_d)
-    for e, k in counts.items():
-        if e > 1 and ind[e] < d:
-            ord_val = zeta_ord_hook(e, Fraction(ind[e], d))
+    for (e, ind), k in counts.items():
+        if ind < d:
+            ord_val = zeta_ord_hook(e, Fraction(ind, d))
             if ord_val < 0:
                 raise ValueError("zeta order hook returned a negative order")
-            bbar -= k // euler_phi(e) * ord_val
+            bbar -= k * ord_val
     return max(bbar, 0)
 
 
@@ -290,7 +301,7 @@ def bbar_d(
     evaluated at the scaled point ind(o)/d; the hook returns the assumed
     order of vanishing (0 everywhere by default).
     """
-    return _type_bbar(G, d, zeta_ord_hook, full_subgroup(G))
+    return _type_bbar(G, d, zeta_ord_hook, element_orders(G))
 
 
 def conjectured_pole_order(
@@ -303,7 +314,7 @@ def conjectured_pole_order(
     A subgroup H enters with the scaled index d / [G:H]; its bbar depends
     on H only through its type, so each sieve type is evaluated once.
     """
-    return max(_type_bbar(G, d, zeta_ord_hook, H) for H, _ in sieve_types(G))
+    return max(_type_bbar(G, d, zeta_ord_hook, orders) for orders, _ in sieve_types(G))
 
 
 def classify_case(n: int, d: int, orders: list[int], m: int, cyclic: bool) -> str:

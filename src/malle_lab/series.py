@@ -12,11 +12,12 @@ Factoring one cyclotomic zeta per cyclotomic orbit leaves an Euler product
 that converges past the abscissa; that decomposition drives the truncated
 evaluations, the leading-term residue estimate, the subgroup-lattice sieve
 to surjections, and the sign checks for lower order terms.  All four run
-their Euler products through one prime loop, ``_euler_products``: one row
-per subgroup restricting inertia, each row with its own zeta corrections.
-A row's factors and corrections depend on its subgroup only through the
-element-order histogram, so the sieve's rows are types, not subgroups:
-one row per ``groups.sieve_types`` entry with the summed Moebius weight,
+their Euler products through one prime loop, ``_euler_products``, with one
+row per element-order histogram of the subgroup restricting inertia: a
+row's factors depend on the subgroup only through it, and its zeta
+corrections are cyclotomic orbits, counted from a histogram by
+``invariants.cyclotomic_orbits``.  So the sieve has one row per
+``groups.sieve_types`` entry, a histogram with its summed Moebius weight:
 7 rows for the 2,825 sieve subgroups of C2^6.
 
 A row's factor at p is an integer polynomial in u = p^-s that depends on p
@@ -34,7 +35,7 @@ Every step truncates, so the loop knows its rounding error: for a factor
 f = 1 + sum c u^a it is below sum |c| (2a - 1) units of 2^-W, relative to
 f, and below 2 units per product step; a row's stated relative bound is
 twice their sum over the primes, plus 2^-mp.prec for the final rounding.
-``nonvanishing_limit`` and ``sieve_to_surjective`` read a Moebius sum
+``_sieve_sums`` evaluates every weighted sum over rows and reads a sum
 within its summed bound as an exact 0; such sums occur where the primes so
 far admit no surjection.
 No prime loop runs past EULER_PRIME_CAP.
@@ -65,9 +66,8 @@ from mpmath import mp
 from .groups import (
     AbelianGroup,
     GroupTooLargeError,
-    Subgroup,
+    Histogram,
     element_orders,
-    full_subgroup,
     sieve_terms,
     sieve_types,
 )
@@ -75,6 +75,7 @@ from .invariants import (
     GaloisActionSpec,
     WeightFn,
     b_d,
+    cyclotomic_orbits,
     nonvanishing_case,
     weight_spectrum,
 )
@@ -122,18 +123,14 @@ class LocalFactor:
         return total
 
 
-def _index_of_order(G: AbelianGroup, e: int) -> int:
-    return G.order - G.order // e
-
-
 def local_factor(G: AbelianGroup, p: int) -> LocalFactor:
     """Local Euler factor of the hom-counting series at p."""
-    return restricted_local_factor(G, full_subgroup(G), p)
+    return restricted_local_factor(G, element_orders(G), p)
 
 
 @lru_cache(maxsize=None)
-def restricted_local_factor(G: AbelianGroup, H: Subgroup, p: int) -> LocalFactor:
-    """Local factor for homs whose inertia lands in the subgroup H.
+def restricted_local_factor(G: AbelianGroup, orders: Histogram, p: int) -> LocalFactor:
+    """Local factor for homs whose inertia lands in a subgroup H of histogram ``orders``.
 
     Discriminant exponents stay those of G (index in G, conductors over the
     dual of G), only the inertia image is restricted.
@@ -142,14 +139,12 @@ def restricted_local_factor(G: AbelianGroup, H: Subgroup, p: int) -> LocalFactor
         raise ValueError(f"{p} is not prime")
     wild = p ** dict(factorize(G.order)).get(p, 0)
     tame = math.gcd(2 if p == 2 else p - 1, G.exponent)
-    return LocalFactor(p, _local_terms(G, H, wild, tame))
+    return LocalFactor(p, _local_terms(G.order, orders, wild, tame))
 
 
 @lru_cache(maxsize=None)
-def _local_terms(
-    G: AbelianGroup, H: Subgroup, wild: int, tame: int
-) -> tuple[tuple[int, int], ...]:
-    """Local factor terms at a prime p from the element orders of H.
+def _local_terms(n: int, orders: Histogram, wild: int, tame: int) -> tuple[tuple[int, int], ...]:
+    """Local factor terms at a prime p for G of order n from the histogram of H.
 
     Inertia at p maps to a pair (t, w) of elements of H: the tame part t has
     order dividing ``tame`` (gcd(p - 1, exp G), or 2 at p = 2) and the wild
@@ -162,10 +157,8 @@ def _local_terms(
     For p not dividing |G| only w = 0 occurs and this is the index of t, so
     the terms depend on p only through gcd(p - 1, exp G).
     """
-    n = G.order
     at_two = wild % 2 == 0  # p = 2 divides |G| (for odd |G|, t = w = 0 at 2)
     c = 2 if at_two else 1
-    orders = element_orders(G, H)
     pairs = []  # (number of pairs (t, w), order of w, order of <t, w>)
     if at_two:  # the t in <w> are 0 and, for w != 0, the involution of <w>
         tame_count = sum(k for o, k in orders if tame % o == 0)
@@ -200,31 +193,16 @@ class ZetaFactorization:
         return sum(1 for _, a in self.entries if a == d)
 
 
-def _orbit_entries(G: AbelianGroup, H: Subgroup) -> tuple[tuple[int, int], ...]:
-    """(order, index in G) once per cyclotomic orbit of nonidentity elements of H.
-
-    The units act transitively on the generators of each cyclic subgroup,
-    so the k_e elements of order e in H form k_e / phi(e) orbits; they come
-    by ascending order, which is ascending index.
-    """
-    return tuple(
-        (e, _index_of_order(G, e))
-        for e, k in element_orders(G, H)
-        if e > 1
-        for _ in range(k // euler_phi(e))
-    )
-
-
 def _sieve_entries(G: AbelianGroup) -> tuple[tuple[tuple[int, int], ...], int]:
     """The orbit entries of G and its least index a, for the sieve's callers."""
-    entries = _orbit_entries(G, full_subgroup(G))
+    entries = cyclotomic_orbits(G, element_orders(G))
     if not entries:
         raise ValueError("the surjection sieve is undefined for the trivial group")
     return entries, entries[0][1]
 
 
 def zeta_factorization(G: AbelianGroup) -> ZetaFactorization:
-    entries = _orbit_entries(G, full_subgroup(G))
+    entries = cyclotomic_orbits(G, element_orders(G))
     fact = ZetaFactorization(G, entries)
     action, wt = GaloisActionSpec.cyclotomic(G), WeightFn.disc()
     for d in weight_spectrum(G, action, wt):
@@ -291,7 +269,7 @@ def _class_key(G: AbelianGroup, p: int) -> int:
     return p % G.exponent
 
 
-def _row_polynomial(G: AbelianGroup, H: Subgroup, corrections, p: int) -> LocalFactor:
+def _row_polynomial(G: AbelianGroup, orders: Histogram, corrections, p: int) -> LocalFactor:
     """A row's Euler factor at p as an exact integer polynomial in u = p^(-s).
 
     The polynomial (1 + sum c u^a) * prod (1 - u^(ind f_p))^(g_p) is
@@ -299,7 +277,7 @@ def _row_polynomial(G: AbelianGroup, H: Subgroup, corrections, p: int) -> LocalF
     p's class (``_class_key``).
     """
     coeffs = [1]
-    for c, a in restricted_local_factor(G, H, p).terms:
+    for c, a in restricted_local_factor(G, orders, p).terms:
         coeffs += [0] * (a + 1 - len(coeffs))
         coeffs[a] += c
     for m, ind in corrections:
@@ -315,8 +293,8 @@ def _row_polynomial(G: AbelianGroup, H: Subgroup, corrections, p: int) -> LocalF
 def _class_plan(G: AbelianGroup, rows, p: int):
     """((factor, row indices), ...): each distinct ``_row_polynomial`` at p once."""
     plan: dict = {}
-    for i, (H, corrections) in enumerate(rows):
-        plan.setdefault(_row_polynomial(G, H, corrections, p), []).append(i)
+    for i, (orders, corrections) in enumerate(rows):
+        plan.setdefault(_row_polynomial(G, orders, corrections, p), []).append(i)
     return tuple(plan.items())
 
 
@@ -325,8 +303,9 @@ def _euler_products(
 ):
     """The one prime loop: a truncated Euler product per row over p <= p_max.
 
-    A row is (H, corrections).  Its factor at p is the local factor with
-    inertia restricted to H at u = p^(-s), times (1 - u^(ind f_p))^(g_p)
+    A row is (orders, corrections).  Its factor at p is the local factor
+    with inertia restricted to a subgroup of element-order histogram orders
+    at u = p^(-s), times (1 - u^(ind f_p))^(g_p)
     for each correction (m, ind), where p has residue degree f_p and g_p
     primes in Q(zeta_m): the Euler factor at p of 1/zeta_{Q(zeta_m)}(ind s).
     That factor is an integer polynomial in u which depends on p only
@@ -454,7 +433,8 @@ def euler_product_truncated(
     factors orbit by orbit and needs only s > 1/(2a).
     """
     s = Fraction(s)
-    entries = _orbit_entries(G, full_subgroup(G))
+    orders = element_orders(G)
+    entries = cyclotomic_orbits(G, orders)
     a = Fraction(entries[0][1] if entries else 1)
     if mode == "full" and s <= 1 / a:
         raise DivergenceError(f"full product diverges at s = {s} <= 1/a")
@@ -463,10 +443,7 @@ def euler_product_truncated(
     if mode not in ("full", "residual"):
         raise ValueError(f"unknown mode {mode!r}")
     dps = dps or precision_digits()
-    corrections = ()
-    if mode == "residual":
-        corrections = entries
-    rows = [(full_subgroup(G), corrections)]
+    rows = [(orders, entries if mode == "residual" else ())]
     factor_log: list = []
     with mp.workdps(dps + 10):
         checkpoints = tuple(
@@ -494,22 +471,27 @@ def series_coefficients(
         raise GroupTooLargeError(f"coefficient bound {n_max} exceeds the cap")
     if n_max < 1:
         raise ValueError("the coefficient bound must be at least 1")
-    rows = sieve_types(G) if surjective else ((full_subgroup(G), 1),)
-    rows = [(H, mu) for H, mu in rows if mu]
+    rows = sieve_types(G) if surjective else ((element_orders(G), 1),)
+    rows = [(orders, mu) for orders, mu in rows if mu]
     # a pass uses the primes up to the min_ind-th root of n_max, where min_ind
     # is the index of its type's first orbit entry (none for trivial H)
-    roots = [integer_root(n_max, ind) for H, _ in rows for _, ind in _orbit_entries(G, H)[:1]]
+    roots = [
+        integer_root(n_max, ind)
+        for orders, _ in rows
+        for _, ind in cyclotomic_orbits(G, orders)[:1]
+    ]
     primes = primes_up_to(max(roots, default=1))
     total = [0] * (n_max + 1)
-    for H, mu in rows:
-        _add_coefficients(total, G, H, mu, primes)
+    for orders, mu in rows:
+        _add_coefficients(total, G, orders, mu, primes)
     return {n: v for n, v in enumerate(total) if v}
 
 
 def _add_coefficients(
-    total: list[int], G: AbelianGroup, H: Subgroup, mu: int, primes: list[int]
+    total: list[int], G: AbelianGroup, orders: Histogram, mu: int, primes: list[int]
 ) -> None:
-    """Add mu times the coefficients of the series with inertia in H to total.
+    """Add mu times the coefficients of the series with inertia in H to total,
+    H being a subgroup of element-order histogram orders.
 
     total holds n = 0..n_max and primes every prime the pass uses.  A local
     exponent is at least min_ind, the least index of a nontrivial element of
@@ -521,7 +503,7 @@ def _add_coefficients(
     reads, so each value it reads is final.
     """
     n_max = len(total) - 1
-    orbits_in = _orbit_entries(G, H)
+    orbits_in = cyclotomic_orbits(G, orders)
     steps = []  # (p, ((c, p^a), ...) by ascending a)
     if orbits_in:
         root = integer_root(n_max, orbits_in[0][1])  # min_ind
@@ -529,7 +511,7 @@ def _add_coefficients(
         for p in primes[: bisect_right(primes, root)]:
             key = _class_key(G, p)
             if key not in by_class:
-                by_class[key] = sorted(restricted_local_factor(G, H, p).terms, key=lambda t: t[1])
+                by_class[key] = sorted(restricted_local_factor(G, orders, p).terms, key=lambda t: t[1])
             powers = tuple((c, p**a) for c, a in by_class[key] if p**a <= n_max)
             if powers:
                 steps.append((p, powers))
@@ -555,18 +537,33 @@ def _add_coefficients(
 # -- the surjection sieve ------------------------------------------------------
 
 
-def _moebius_sum(terms):
-    """Sum of (mu * product, the product's stated relative bound) pairs.
+def _sieve_sums(G: AbelianGroup, s: Fraction, p_max: int, parts):
+    """Each part's weighted sum of its rows' products at every checkpoint.
 
-    A sum within its rounding bound is exactly 0: sum |mu prod| times each
-    product's stated bound plus 2^-prec for the product by mu.  Such sums
-    occur where the primes so far admit no surjection.
+    A part is a list of rows (orders, corrections, weight): an
+    ``_euler_products`` row and the weight of its product, a Moebius sum,
+    possibly times zeta values.  Every part runs in one prime loop.  Returns
+    ((mark, sums, products), ...) with one sum per part and every row's
+    product, the parts' rows in turn.  A sum within its rounding bound,
+    sum |weight prod| times each product's stated bound plus 2^-prec for
+    the product by the weight, is exactly 0; such sums occur where the
+    primes so far admit no surjection.
     """
-    terms = list(terms)
+    rows = [row for part in parts for row in part]
+    bounds: list = []
+    marks = list(_euler_products(G, s, p_max, [row[:2] for row in rows], bounds=bounds))
     unit = mp.ldexp(1, -mp.prec)
-    value = mp.fsum(t for t, _ in terms)
-    bound = mp.fsum(abs(t) * (error + unit) for t, error in terms)
-    return mp.zero if abs(value) <= bound else value
+    out = []
+    for (mark, _, prods), errors in zip(marks, bounds):
+        terms = [(row[2] * prod, error) for row, prod, error in zip(rows, prods, errors)]
+        sums, start = [], 0
+        for part in parts:
+            own, start = terms[start : start + len(part)], start + len(part)
+            value = mp.fsum(t for t, _ in own)
+            bound = mp.fsum(abs(t) * (error + unit) for t, error in own)
+            sums.append(mp.zero if abs(value) <= bound else value)
+        out.append((mark, sums, prods))
+    return out
 
 
 def sieve_to_surjective(
@@ -580,7 +577,7 @@ def sieve_to_surjective(
     One product runs per sieve type.  Returns (value, terms) with one
     (subgroup label, mu, product value) per subgroup containing the Frattini
     subgroup, in ``sieve_terms`` order; a subgroup's product is its type's.
-    The value is exactly 0 when within its rounding bound (``_moebius_sum``).
+    The value is exactly 0 when within its rounding bound (``_sieve_sums``).
     """
     s = Fraction(s)
     _, a = _sieve_entries(G)
@@ -589,14 +586,10 @@ def sieve_to_surjective(
     dps = dps or precision_digits()
     types = sieve_types(G)
     with mp.workdps(dps + 10):
-        bounds: list = []
-        *_, (_, _, prods) = _euler_products(
-            G, s, p_max, [(H, ()) for H, _ in types], bounds=bounds
+        *_, (_, (total,), prods) = _sieve_sums(
+            G, s, p_max, [[(orders, (), mu) for orders, mu in types]]
         )
-        total = _moebius_sum(
-            (mu * prod, error) for (_, mu), prod, error in zip(types, prods, bounds[-1])
-        )
-    by_type = {element_orders(G, H): prod for (H, _), prod in zip(types, prods)}
+    by_type = {orders: prod for (orders, _), prod in zip(types, prods)}
     terms_out = []
     for H, mu in sieve_terms(G):
         orders = element_orders(G, H)
@@ -644,9 +637,9 @@ def residue_main_term(
     entries, a = _sieve_entries(G)
     b = sum(1 for _, ind in entries if ind == a)
     with mp.workdps(dps + 10):
-        rows, weights = [], []
-        for H, mu in sieve_types(G):
-            orbits_in = _orbit_entries(G, H)
+        rows = []
+        for orders, mu in sieve_types(G):
+            orbits_in = cyclotomic_orbits(G, orders)
             if sum(1 for _, ind in orbits_in if ind == a) < b:
                 continue
             zeta_part = mp.mpf(1)
@@ -655,18 +648,12 @@ def residue_main_term(
                     zeta_part *= dedekind_zeta_residue(m, dps) / a
                 else:
                     zeta_part *= dedekind_zeta_value(m, Fraction(ind, a), dps)
-            rows.append((H, orbits_in))
-            weights.append((mu, zeta_part))
-        partials = {
-            mark: mp.fsum(mu * z * prod for (mu, z), prod in zip(weights, prods))
-            for mark, _, prods in _euler_products(G, Fraction(1, a), p_max, rows)
-        }
-        residue = partials[max(partials)]
-        lead = residue * a / math.factorial(b - 1)
+            rows.append((orders, orbits_in, mu * zeta_part))
         checkpoints = tuple(
-            (m, v * a / math.factorial(b - 1)) for m, v in sorted(partials.items())
+            (mark, value * a / math.factorial(b - 1))
+            for mark, (value,), _ in _sieve_sums(G, Fraction(1, a), p_max, [rows])
         )
-    return MainTermEstimate(G, Fraction(1, a), b - 1, lead, checkpoints)
+    return MainTermEstimate(G, Fraction(1, a), b - 1, checkpoints[-1][1], checkpoints)
 
 
 @dataclass(frozen=True)
@@ -721,43 +708,30 @@ def nonvanishing_limit(
         raise UnsupportedCaseError(f"no proved expression for {G} at d = {d}")
     dps = dps or precision_digits()
 
-    def sieve_values(*parts):
-        """One Moebius sum per part (types, corr_lower, corr_upper), all in
-        one prime loop; a part's rows divide out the zeta factors of
-        corr_lower < ind < corr_upper, one cyclotomic zeta factor per orbit."""
-        rows, weights = [], []
-        for j, (types, corr_lower, corr_upper) in enumerate(parts):
-            corrections = tuple(e for e in entries if corr_lower < e[1] < corr_upper)
-            rows += [(H, corrections) for H, _ in types]
-            weights += [(j, mu) for _, mu in types]
-        bounds: list = []
-        marks = list(_euler_products(G, Fraction(1, d), p_max, rows, bounds=bounds))
-        return {
-            mark: [
-                _moebius_sum((mu * prod, error) for (part, mu), prod, error
-                             in zip(weights, prods, errors) if part == j)
-                for j in range(len(parts))
-            ]
-            for (mark, _, prods), errors in zip(marks, bounds)
-        }
+    def rows(types, lower):
+        """The types' rows with the zeta factors of lower < ind < d divided
+        out, one cyclotomic zeta factor per orbit."""
+        corrections = tuple(e for e in entries if lower < e[1] < d)
+        return [(orders, corrections, mu) for orders, mu in types]
 
+    if case == "case_iii":  # split at the 2-torsion G[2], which H contains
+        # iff it has as many elements of order <= 2 as G
+        def two_torsion(orders):
+            return sum(k for o, k in orders if o <= 2)
+
+        two = two_torsion(element_orders(G))
+        parts = [
+            rows([t for t in sieve_types(G) if two_torsion(t[0]) == two], 0),
+            rows([t for t in sieve_types(G) if two_torsion(t[0]) < two], a),
+        ]
+    else:
+        types = ((element_orders(G), 1),) if case == "case_iv" else sieve_types(G)
+        parts = [rows(types, 0)]
     with mp.workdps(dps + 10):
-        if case in ("case_i", "case_ii", "case_iv"):
-            types = ((full_subgroup(G), 1),) if case == "case_iv" else sieve_types(G)
-            partial = sieve_values((types, 0, d))
-            checkpoints = tuple((m, v) for m, (v,) in sorted(partial.items()))
-        else:  # case_iii: split at the 2-torsion G[2], which H contains iff
-            # it has as many elements of order <= 2 as G
-            def two_torsion(H):
-                return sum(k for o, k in element_orders(G, H) if o <= 2)
-
-            two = two_torsion(full_subgroup(G))
-            with_two = tuple((H, mu) for H, mu in sieve_types(G) if two_torsion(H) == two)
-            without_two = tuple((H, mu) for H, mu in sieve_types(G) if two_torsion(H) < two)
-            partial = sieve_values((with_two, 0, d), (without_two, a, d))
+        sums = _sieve_sums(G, Fraction(1, d), p_max, parts)
+        if case == "case_iii":
             zeta_at = riemann_zeta_value(Fraction(a, d), dps)
-            checkpoints = tuple(
-                (m, zeta_at * s_plus + s_minus)
-                for m, (s_plus, s_minus) in sorted(partial.items())
-            )
+            checkpoints = tuple((m, zeta_at * plus + minus) for m, (plus, minus), _ in sums)
+        else:
+            checkpoints = tuple((m, value) for m, (value,), _ in sums)
     return NonvanishingReport(G, d, case, p_max, checkpoints)

@@ -312,6 +312,19 @@ def _scan_block(lo: int, hi: int, cn: int, cd: int, phi: list[int]) -> list[tupl
     return rows
 
 
+def _scan_block_packed(args: tuple) -> list[tuple]:
+    return _scan_block(*args)
+
+
+def _scan_rows(parts) -> tuple[ScanRow, ...]:
+    """The ScanRows of the blocks' tuples, each block consumed as it arrives."""
+    return tuple(
+        ScanRow(n, a, d2, Fraction(num, den), flag_i, case != "none", case)
+        for part in parts
+        for n, a, d2, num, den, flag_i, case in part
+    )
+
+
 def scan_cyclic(
     n_max: int, model: SubconvexityModel | None = None, jobs: int = 1
 ) -> ScanReport:
@@ -343,14 +356,9 @@ def scan_cyclic(
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            parts = pool.starmap(_scan_block, blocks)
+            rows = _scan_rows(pool.imap(_scan_block_packed, blocks))
     else:
-        parts = itertools.starmap(_scan_block, blocks)
-    rows = tuple(
-        ScanRow(n, a, d2, Fraction(num, den), flag_i, case != "none", case)
-        for part in parts
-        for n, a, d2, num, den, flag_i, case in part
-    )
+        rows = _scan_rows(itertools.starmap(_scan_block, blocks))
     count_i = sum(1 for r in rows if r.flag_i)
     count_ii = sum(1 for r in rows if r.flag_ii)
     return ScanReport(n_max, model.kind, len(rows), count_i, count_ii, rows)

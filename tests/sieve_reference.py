@@ -19,6 +19,7 @@ from malle_lab.groups import (
     AbelianGroup,
     Subgroup,
     element_order,
+    element_orders,
     full_subgroup,
     make_group,
     sieve_terms,
@@ -119,7 +120,8 @@ def sieve_to_surjective(G: AbelianGroup, s: Fraction, p_max: int, dps: int):
     subgroups = sieve_terms(G)
     terms = []
     with mp.workdps(dps + 10):
-        *_, (_, _, prods) = _euler_products(G, s, p_max, [(H, ()) for H, _ in subgroups])
+        rows = [(element_orders(G, H), ()) for H, _ in subgroups]
+        *_, (_, _, prods) = _euler_products(G, s, p_max, rows)
         total = mp.mpf(0)
         for (H, mu), prod in zip(subgroups, prods):
             label = "+".join(str(e) for e in sorted({element_order(G, g) for g in H.elements}))
@@ -147,7 +149,8 @@ def residue_main_term(G: AbelianGroup, p_max: int, dps: int):
                     zeta_part *= dedekind_zeta_value(
                         o.element_order, Fraction(int(o.weight), a), dps
                     )
-            rows.append((H, tuple((o.element_order, int(o.weight)) for o in orbits_in)))
+            orbit_entries = tuple((o.element_order, int(o.weight)) for o in orbits_in)
+            rows.append((element_orders(G, H), orbit_entries))
             weights.append((mu, zeta_part))
         return tuple(
             (mark, mp.fsum(mu * z * prod for (mu, z), prod in zip(weights, prods))
@@ -175,7 +178,7 @@ def nonvanishing_limit(G: AbelianGroup, d: int, p_max: int, dps: int):
     rows, weights = [], []
     for j, (subgroups, lower, upper) in enumerate(parts):
         corrections = tuple(e for e in entries if lower < e[1] < upper)
-        rows += [(H, corrections) for H, _ in subgroups]
+        rows += [(element_orders(G, H), corrections) for H, _ in subgroups]
         weights += [(j, mu) for _, mu in subgroups]
     with mp.workdps(dps + 10):
         out = []

@@ -35,6 +35,18 @@ class TestExitCodes:
     def test_malformed_group(self):
         assert invoke(["theta", "Q8"])[0] == 2
 
+    def test_file_errors_are_usage_errors(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "x.csv")
+        for argv in (
+            ["coeffs", "C2", "--max", "10", "--out", missing],
+            ["scan-cyclic", "--max", "100", "--out", missing],
+            ["count", "C2", "--X", "100", "--histogram", missing],
+            ["tauberian", "fit", "--counts", missing, "--main", "1*X"],
+        ):
+            assert invoke(argv)[0] == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and err.count("\n") == 1, argv
+
     def test_budget_error(self):
         # coefficient bound beyond the configured cap
         assert invoke(["coeffs", "C2", "--max", "10000000"])[0] == 3
@@ -202,6 +214,29 @@ class TestTauberianCli:
                 writer.writerow([x, 2.0 * x + x**0.5])
         doc = payload(["tauberian", "fit", "--counts", str(path), "--main", "2*X^1"])
         assert abs(doc["fitted_exponent"] - 0.5) < 0.05
+
+    def test_fit_reads_every_number_form(self, tmp_path):
+        # exponent and signed forms are samples, not headers to skip
+        path = tmp_path / "counts.csv"
+        xs = [10 * 2**i for i in range(12)]
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["X", "N"])
+            for i, x in enumerate(xs):
+                writer.writerow([f"{x:e}" if i % 2 else f"+{x}", 2.0 * x + x**0.5])
+        doc = payload(["tauberian", "fit", "--counts", str(path), "--main", "2*X^1"])
+        assert doc["samples"] == len(xs)
+        assert abs(doc["fitted_exponent"] - 0.5) < 0.05
+
+    def test_fit_rejects_malformed_rows(self, tmp_path, capsys):
+        for bad in (["40"], ["forty", "81"], ["40", "81", "1"]):
+            path = tmp_path / "counts.csv"
+            with open(path, "w", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerows([["X", "N"], [10, 23], bad, [80, 169]])
+            code, _ = invoke(["tauberian", "fit", "--counts", str(path), "--main", "2*X^1"])
+            assert code == 2, bad
+            assert "line 3" in capsys.readouterr().err, bad
 
 
 class TestPrecisionEnv:

@@ -5,7 +5,7 @@ import pytest
 
 import sieve_reference
 from conftest import all_abelian_groups
-from malle_lab.groups import element_order, frattini, make_group
+from malle_lab.groups import element_order, element_orders, frattini, make_group
 from malle_lab.invariants import (
     GaloisActionSpec,
     InvarianceViolation,
@@ -15,6 +15,7 @@ from malle_lab.invariants import (
     bbar_d,
     conjectured_pole_order,
     cyclic_group,
+    cyclotomic_orbits,
     default_zeta_order_hook,
     index_of,
     invariant_summary,
@@ -107,6 +108,15 @@ class TestOrbits:
         for G in all_abelian_groups(40) + [make_group([n]) for n in (60, 128, 200)]:
             for o in nonidentity_orbits(G, GaloisActionSpec.cyclotomic(G), DISC):
                 assert o.size == euler_phi(o.element_order)
+
+    def test_counted_orbits_match_enumerated(self):
+        # the counted form reads the orbits off the element-order histogram
+        for G in all_abelian_groups(64):
+            enumerated = sorted(
+                (o.element_order, int(o.weight))
+                for o in nonidentity_orbits(G, GaloisActionSpec.cyclotomic(G), DISC)
+            )
+            assert list(cyclotomic_orbits(G, element_orders(G))) == enumerated, G
 
     def test_custom_weight_invariance_enforced(self):
         G = make_group([5])
