@@ -10,6 +10,7 @@ cannot be read or written), 3 budget or size error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -39,12 +40,6 @@ class UsageError(ValueError):
     pass
 
 
-def _model_from(name: str, deg_k: int) -> SubconvexityModel:
-    if name not in ("soehne", "convexity", "lindelof"):
-        raise UsageError(f"unknown model {name!r}")
-    return SubconvexityModel(name, deg_k)
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         if "/" in text:
@@ -70,8 +65,15 @@ def _emit(payload: dict, started: float, argv: list[str]) -> None:
     print(json.dumps(document, sort_keys=True, indent=2))
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as handle:
+def _check_writable(path: str | None) -> None:
+    """Fail at once, before the work, if ``path`` cannot be written; a file already there is kept."""
+    if path:
+        open(path, "a").close()
+
+
+def _write_csv(path: str | None, header: list[str], rows) -> None:
+    """Write the rows to ``path``, or to stdout without one."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -93,9 +95,7 @@ def _cmd_invariants(args, argv, started) -> int:
 
 def _cmd_theta(args, argv, started) -> int:
     G = parse_group_literal(args.group)
-    if G.order <= 1:
-        raise UsageError("theta is undefined for the trivial group")
-    model = _model_from(args.model, args.degK)
+    model = SubconvexityModel(args.model, args.degK)
     wt = WeightFn.disc() if args.ordering == "disc" else WeightFn.ram()
     result = theta_best(G, GaloisActionSpec.cyclotomic(G), wt, model)
     payload = {"group": str(G), "ordering": args.ordering, "degK": args.degK}
@@ -105,8 +105,9 @@ def _cmd_theta(args, argv, started) -> int:
 
 
 def _cmd_scan(args, argv, started) -> int:
-    model = _model_from(args.model, 1)
+    model = SubconvexityModel(args.model)
     jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+    _check_writable(args.out)
     report = scan_cyclic(args.max, model, jobs=jobs)
     if args.out:
         _write_csv(
@@ -147,20 +148,18 @@ def _cmd_series(args, argv, started) -> int:
 
 def _cmd_coeffs(args, argv, started) -> int:
     G = parse_group_literal(args.group)
+    _check_writable(args.out)
     coeffs = series_coefficients(G, args.max, surjective=args.surjective)
     rows = sorted(coeffs.items())
+    _write_csv(args.out, ["n", "count"], rows)
     if args.out:
-        _write_csv(args.out, ["n", "count"], rows)
         _emit({"group": str(G), "max": args.max, "rows": len(rows), "csv": args.out}, started, argv)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["n", "count"])
-        writer.writerows(rows)
     return 0
 
 
 def _cmd_count(args, argv, started) -> int:
     G = parse_group_literal(args.group)
+    _check_writable(args.histogram)
     report = count_surjections(
         G, args.X, ordering=args.ordering, histogram=bool(args.histogram)
     )

@@ -9,8 +9,8 @@ are histograms, not subgroups: every sieve quantity depends on a subgroup
 only through its element-order histogram (``element_orders``), so
 ``sieve_types`` folds the subgroups of one histogram into one row: the
 histogram with the summed Moebius weight.
-Groups are fully enumerated below a configurable cap; large groups beyond
-the cap are only touched through divisor arithmetic elsewhere.
+G's own histogram is counted from its invariant factors; only the sieve
+subgroups and element-keyed inputs list elements, up to a cap on |G|.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, product
 
-from .numerics import factorize, radical
+from .numerics import divisors, factorize, radical
 
 ENUMERATION_CAP = 10_000
 
@@ -274,9 +274,17 @@ Histogram = tuple[tuple[int, int], ...]
 
 @lru_cache(maxsize=None)
 def element_orders(G: AbelianGroup, H: Subgroup | None = None) -> Histogram:
-    """(order, number of elements of that order) over H (or G), identity included."""
-    if H is None:  # G is its own top sieve subgroup, whose histogram may be cached
-        return element_orders(G, full_subgroup(G))
+    """(order, number of elements of that order) over H (or G), identity included.
+
+    G's is counted: prod gcd(e, d_i) of its elements have g^e = 1.
+    """
+    if H is None:
+        _check_cap(G)  # guards factorize(exp G), slow on a large prime
+        counts: dict[int, int] = {}
+        for e in divisors(G.exponent):
+            fixed = math.prod(math.gcd(e, d) for d in G.invariant_factors)
+            counts[e] = fixed - sum(k for f, k in counts.items() if e % f == 0)
+        return tuple(counts.items())
     return tuple(sorted(Counter(element_order(G, g) for g in H.elements).items()))
 
 

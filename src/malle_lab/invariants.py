@@ -11,7 +11,8 @@ need only the element orders, so they are found without enumerating G.
 
 Under the plain cyclotomic action the orbits are counted, not enumerated:
 ``cyclotomic_orbits`` reads them off an element-order histogram (of G or of
-a sieve row), and the series and ``bbar_d`` take their orbits from it.
+a sieve row) for ``invariant_summary``, the series and ``bbar_d``.  ``orbits``
+enumerates, for ``units=`` actions, automorphism twists and custom weights.
 """
 
 from __future__ import annotations
@@ -179,18 +180,6 @@ class OrbitData:
     members: tuple[Element, ...]
 
 
-def _orbit_partition(action: GaloisActionSpec) -> tuple[frozenset[Element], ...]:
-    G = action.group
-    remaining = set(G.elements())
-    parts = []
-    while remaining:
-        g = min(remaining)
-        orb = action.orbit_of(g)
-        parts.append(orb)
-        remaining -= orb
-    return tuple(parts)
-
-
 @lru_cache(maxsize=None)
 def orbits(
     G: AbelianGroup, action: GaloisActionSpec, wt: WeightFn
@@ -199,8 +188,10 @@ def orbits(
     if action.group != G:
         raise ValueError("action is attached to a different group")
     out = []
-    for part in _orbit_partition(action):
-        members = tuple(sorted(part))
+    remaining = set(G.elements())
+    while remaining:
+        members = tuple(sorted(action.orbit_of(min(remaining))))
+        remaining -= set(members)
         rep = members[0]
         w = weight_of(G, wt, rep)
         for other in members[1:]:
@@ -365,20 +356,21 @@ def invariant_summary(
     """All invariants of one group in a JSON-friendly dict (CLI backend)."""
     if G.order <= 1:
         raise ValueError("invariants are undefined for the trivial group")
-    wt = WeightFn.disc() if ordering == "disc" else WeightFn.ram()
-    action = (
-        GaloisActionSpec.cyclotomic(G)
-        if units is None
-        else GaloisActionSpec.from_units(G, units)
-    )
-    spectrum = weight_spectrum(G, action, wt)
+    if units is None:
+        entries = cyclotomic_orbits(G, element_orders(G))
+        counts = Counter(ind if ordering == "disc" else 1 for _, ind in entries)
+    else:
+        wt = WeightFn.disc() if ordering == "disc" else WeightFn.ram()
+        action = GaloisActionSpec.from_units(G, units)
+        counts = Counter(o.weight for o in nonidentity_orbits(G, action, wt))
+    spectrum = sorted(counts)
     summary = {
         "group": str(G),
         "order": G.order,
         "ordering": ordering,
-        "a": str(a_invariant(G, action, wt)),
+        "a": str(spectrum[0]),
         "spectrum": [str(d) for d in spectrum],
-        "b": {str(d): b_d(G, action, wt, d) for d in spectrum},
+        "b": {str(d): counts[d] for d in spectrum},
     }
     if ordering == "disc" and units is None:
         summary["bbar"] = {str(d): bbar_d(G, int(d)) for d in spectrum}

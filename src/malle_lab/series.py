@@ -71,14 +71,7 @@ from .groups import (
     sieve_terms,
     sieve_types,
 )
-from .invariants import (
-    GaloisActionSpec,
-    WeightFn,
-    b_d,
-    cyclotomic_orbits,
-    nonvanishing_case,
-    weight_spectrum,
-)
+from .invariants import cyclotomic_orbits, nonvanishing_case
 from .lvalues import dedekind_zeta_residue, dedekind_zeta_value, riemann_zeta_value
 from .numerics import (
     divisors,
@@ -202,14 +195,7 @@ def _sieve_entries(G: AbelianGroup) -> tuple[tuple[tuple[int, int], ...], int]:
 
 
 def zeta_factorization(G: AbelianGroup) -> ZetaFactorization:
-    entries = cyclotomic_orbits(G, element_orders(G))
-    fact = ZetaFactorization(G, entries)
-    action, wt = GaloisActionSpec.cyclotomic(G), WeightFn.disc()
-    for d in weight_spectrum(G, action, wt):
-        assert fact.pole_order(int(d)) == b_d(G, action, wt, d), (
-            "zeta factor count disagrees with the orbit count"
-        )
-    return fact
+    return ZetaFactorization(G, cyclotomic_orbits(G, element_orders(G)))
 
 
 @lru_cache(maxsize=None)

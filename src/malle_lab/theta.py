@@ -9,6 +9,8 @@ D = 2a.  The subconvexity model supplies mu: degree/4 for convexity,
 degree/6 for the known unconditional bound, 0 under Lindelof, where the
 degree of the orbit L-function is |orbit| * [K:Q].  One kernel evaluates
 it: on Fractions for ``theta_best``, on ints in the cyclic scan; no floats.
+A preset's 2 mu is a slope per element, so its classes come from the element
+orders; only custom mu tables and custom weights walk the orbits.
 
 theta(D) is unimodal: past weight w_j its slope has the sign of S_j - a(k + C_j),
 C_j and S_j summing c and c w up to w_j.  That grows by c (w - a) >= 0 per class,
@@ -17,12 +19,11 @@ so ``_theta_min`` stops at the first w_j with S_j >= a(k + C_j), or at 2a.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groups import AbelianGroup, Element, GroupTooLargeError
+from .groups import AbelianGroup, Element, GroupTooLargeError, element_orders
 from .invariants import (
     GaloisActionSpec,
     OrbitData,
@@ -46,6 +47,8 @@ class SubconvexityModel:
     table: tuple[tuple[Element, Fraction], ...] | None = None
 
     def __post_init__(self):
+        if self.kind not in _PRESET_SLOPES and (self.kind != "custom" or self.table is None):
+            raise ValueError(f"unknown model {self.kind!r}")
         if self.deg_k < 1:
             raise ValueError(f"[K:Q] = {self.deg_k} must be at least 1")
 
@@ -57,7 +60,6 @@ class SubconvexityModel:
 
     def mu(self, orbit: OrbitData) -> Fraction:
         if self.kind == "custom":
-            assert self.table is not None
             lookup = dict(self.table)
             if orbit.representative not in lookup:
                 raise KeyError(f"no mu entry for orbit of {orbit.representative}")
@@ -167,13 +169,17 @@ def _orbit_classes(G, action, wt, model) -> list[tuple[Fraction, Fraction]]:
     """(w, sum of 2 mu over the orbits of weight w) by ascending w: the classes at k = 1."""
     if G.order <= 1:
         raise ValueError("theta is undefined for the trivial group")
+    if action.group != G:
+        raise ValueError("action is attached to a different group")
     classes: dict[Fraction, Fraction] = {}
-    for o in nonidentity_orbits(G, action, wt):
-        two_mu = 2 * model.mu(o)
-        if model.kind == "soehne":
-            elements = o.size * Fraction(model.deg_k, 3)
-            assert two_mu == elements, "orbit-level and element-level bounds disagree"
-        classes[o.weight] = classes.get(o.weight, 0) + two_mu
+    if model.kind != "custom" and wt.kind in ("disc", "ram"):
+        n = G.order
+        for e, k in element_orders(G)[1:]:
+            w = Fraction(n - n // e if wt.kind == "disc" else 1)
+            classes[w] = classes.get(w, 0) + model.slope() * k
+    else:
+        for o in nonidentity_orbits(G, action, wt):
+            classes[o.weight] = classes.get(o.weight, 0) + 2 * model.mu(o)
     return sorted(classes.items())
 
 
@@ -312,8 +318,16 @@ def _scan_block(lo: int, hi: int, cn: int, cd: int, phi: list[int]) -> list[tupl
     return rows
 
 
+_worker_phi: list[int] = []  # a scan worker's phi, from the parent's memory under fork
+
+
+def _share_phi(phi: list[int]) -> None:
+    global _worker_phi
+    _worker_phi = phi
+
+
 def _scan_block_packed(args: tuple) -> list[tuple]:
-    return _scan_block(*args)
+    return _scan_block(*args, _worker_phi)
 
 
 def _scan_rows(parts) -> tuple[ScanRow, ...]:
@@ -351,14 +365,14 @@ def scan_cyclic(
     cn, cd = slope.numerator, slope.denominator
     phi = _phi_sieve(n_max)
     step = max(256, min(SCAN_BLOCK, (n_max - 4) // (4 * jobs) + 1))
-    blocks = [(lo, min(lo + step, n_max), cn, cd, phi) for lo in range(4, n_max, step)]
+    blocks = [(lo, min(lo + step, n_max), cn, cd) for lo in range(4, n_max, step)]
     if jobs > 1:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        with multiprocessing.get_context("fork").Pool(jobs, _share_phi, (phi,)) as pool:
             rows = _scan_rows(pool.imap(_scan_block_packed, blocks))
     else:
-        rows = _scan_rows(itertools.starmap(_scan_block, blocks))
+        rows = _scan_rows(_scan_block(*block, phi) for block in blocks)
     count_i = sum(1 for r in rows if r.flag_i)
     count_ii = sum(1 for r in rows if r.flag_ii)
     return ScanReport(n_max, model.kind, len(rows), count_i, count_ii, rows)

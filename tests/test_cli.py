@@ -29,8 +29,10 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert invoke(["frobnicate"])[0] == 2
 
-    def test_trivial_group_usage_error(self):
+    def test_trivial_group_usage_error(self, capsys):
         assert invoke(["invariants", "C1"])[0] == 2
+        assert invoke(["theta", "C1"])[0] == 2
+        assert "theta is undefined for the trivial group" in capsys.readouterr().err
 
     def test_malformed_group(self):
         assert invoke(["theta", "Q8"])[0] == 2
@@ -46,6 +48,35 @@ class TestExitCodes:
             assert invoke(argv)[0] == 2, argv
             err = capsys.readouterr().err
             assert err.startswith("usage error:") and err.count("\n") == 1, argv
+
+    def test_unwritable_output_fails_before_the_work(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the computation ran before the output was opened")
+
+        for name in ("scan_cyclic", "count_surjections", "series_coefficients"):
+            monkeypatch.setattr(cli, name, unreachable)
+        missing = str(tmp_path / "missing" / "x.csv")
+        for argv in (
+            ["scan-cyclic", "--max", "200000", "--jobs", "1", "--out", missing],
+            ["count", "C4", "--X", "100000000", "--histogram", missing],
+            ["coeffs", "C2", "--max", "200000", "--out", missing],
+        ):
+            assert invoke(argv)[0] == 2, argv
+            assert capsys.readouterr().err.startswith("usage error:"), argv
+
+    def test_failed_run_keeps_an_existing_output(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_text("kept\n")
+        assert invoke(["coeffs", "C2", "--max", "10000000", "--out", str(out)])[0] == 3
+        assert out.read_text() == "kept\n"
+
+    def test_unknown_model_is_usage_error(self, capsys):
+        for argv in (
+            ["theta", "C3", "--model", "foo"],
+            ["scan-cyclic", "--max", "100", "--model", "custom"],
+        ):
+            assert invoke(argv)[0] == 2, argv
+            assert "unknown model" in capsys.readouterr().err, argv
 
     def test_budget_error(self):
         # coefficient bound beyond the configured cap

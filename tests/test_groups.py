@@ -74,6 +74,11 @@ class TestElements:
         with pytest.raises(ValueError):
             element_order(make_group([4]), (1, 1))
 
+    def test_counted_histogram_matches_enumeration(self):
+        # G's histogram is counted from its invariant factors
+        for G in all_abelian_groups(64, 1):
+            assert element_orders(G) == element_orders(G, full_subgroup(G)), G
+
 
 class TestSubgroups:
     @pytest.mark.parametrize("n", [4, 6, 12, 30, 36, 100])

@@ -310,6 +310,16 @@ class TestCases:
 
 
 class TestSummary:
+    def test_counted_summary_matches_enumerated_orbits(self):
+        for G in all_abelian_groups(64):
+            action = GaloisActionSpec.cyclotomic(G)
+            for ordering, wt in (("disc", DISC), ("ram", WeightFn.ram())):
+                out = invariant_summary(G, ordering)
+                spectrum = weight_spectrum(G, action, wt)
+                assert out["a"] == str(a_invariant(G, action, wt)), (G, ordering)
+                assert out["spectrum"] == [str(d) for d in spectrum], (G, ordering)
+                assert out["b"] == {str(d): b_d(G, action, wt, d) for d in spectrum}, (G, ordering)
+
     def test_cli_payload_shape(self):
         out = invariant_summary(make_group([4]))
         assert out["a"] == "2"

@@ -1,4 +1,6 @@
 import functools
+import multiprocessing
+import pickle
 import random
 from fractions import Fraction
 
@@ -161,13 +163,31 @@ class TestThetaBest:
         )
 
     def test_orbit_equals_element_level_for_every_candidate(self):
-        # asserted internally on each soehne evaluation; exercised over a family
-        for G in all_abelian_groups(50):
-            act = cyc(G)
-            a = a_invariant(G, act, DISC)
-            for D in list(weight_spectrum(G, act, DISC)) + [2 * a]:
-                if a <= D <= 2 * a:
-                    theta_at_D(G, act, DISC, SubconvexityModel.soehne(), D)
+        # a preset's classes are counted from the element orders; they equal
+        # the sums of 2 mu over the enumerated orbits of each weight, under
+        # the cyclotomic action and under a twist whose orbits are not the units'
+        C2xC2 = make_group([2, 2])
+        swap = GaloisActionSpec(C2xC2, ((((0, 1), (1, 0)), 1),))
+        for G, action in [(G, cyc(G)) for G in all_abelian_groups(64)] + [(C2xC2, swap)]:
+            for wt in (DISC, RAM):
+                for kind in ("soehne", "convexity", "lindelof"):
+                    for deg in (1, 2):
+                        model = SubconvexityModel(kind, deg)
+                        sums = {}
+                        for o in nonidentity_orbits(G, action, wt):
+                            sums[o.weight] = sums.get(o.weight, 0) + 2 * model.mu(o)
+                        classes = theta._orbit_classes(G, action, wt, model)
+                        assert classes == sorted(sums.items()), (G, action, wt, model)
+
+    def test_unknown_model_rejected(self):
+        for kind in ("foo", "custom"):  # a custom model needs its mu table
+            with pytest.raises(ValueError, match="unknown model"):
+                SubconvexityModel(kind)
+
+    def test_action_of_another_group_rejected(self):
+        # the preset classes read no orbit, so the action's group is checked up front
+        with pytest.raises(ValueError, match="different group"):
+            theta_best(make_group([4]), cyc(make_group([2])), DISC, SubconvexityModel.soehne())
 
 
 class TestThetaMin:
@@ -297,6 +317,33 @@ class TestScan:
     def test_lindelof_scan_flags_everything(self):
         report = scan_cyclic(300, SubconvexityModel.lindelof())
         assert report.count_i == report.composite_count
+
+    def test_block_tasks_carry_no_phi(self, monkeypatch):
+        # the workers get phi once, from the pool initializer; a task is its bounds
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, jobs, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, tasks):
+                for task in tasks:
+                    sizes.append(len(pickle.dumps(task)))
+                    yield func(task)
+
+        class InlineContext:
+            Pool = InlinePool
+
+        monkeypatch.setattr(theta, "_worker_phi", [])
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext)
+        assert scan_cyclic(20000, jobs=2).rows == scan_cyclic(20000, jobs=1).rows
+        assert len(sizes) > 1 and max(sizes) < 1024
 
     def test_parallel_matches_serial(self):
         serial = scan_cyclic(1500, jobs=1)
