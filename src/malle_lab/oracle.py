@@ -16,10 +16,12 @@ componentwise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from operator import attrgetter
 
 from .groups import AbelianGroup, aut_order, make_group
 from .numerics import euler_phi, integer_root, primes_up_to, unit_group_components
@@ -135,12 +137,7 @@ class DirichletCharacter:
             if p not in by_p:
                 by_p[p] = (k, exps)
                 continue
-            k0, exps0 = by_p[p]
-            k_new = max(k, k0)
-            a = _lift(p, k0, exps0, k_new)
-            b = _lift(p, k, exps, k_new)
-            orders = _local_orders(p, k_new)
-            by_p[p] = (k_new, tuple((x + y) % n for x, y, n in zip(a, b, orders)))
+            by_p[p] = _local_product(p, *by_p[p], k, exps)
         return _primitive_of((p, k, exps) for p, (k, exps) in by_p.items())
 
     def power(self, e: int) -> "DirichletCharacter":
@@ -237,6 +234,16 @@ def _lift(p: int, k_from: int, exps: tuple[int, ...], k_to: int) -> tuple[int, .
     return (exps[0], exps[1] * scale)
 
 
+def _local_product(
+    p: int, k0: int, exps0: tuple[int, ...], k1: int, exps1: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]]:
+    """(k, exps) of the product of two local components at p, mod p^max(k0, k1)."""
+    k = max(k0, k1)
+    a = _lift(p, k0, exps0, k)
+    b = _lift(p, k1, exps1, k)
+    return k, tuple((x + y) % n for x, y, n in zip(a, b, _local_orders(p, k)))
+
+
 def _shrink(p: int, k_from: int, exps: tuple[int, ...], k_to: int) -> tuple[int, ...]:
     """Inverse of _lift for a character whose conductor divides p^k_to."""
     if k_to == k_from:
@@ -290,7 +297,7 @@ def characters_up_to(e: int, f_max: int, budget: int | None = None) -> list[Diri
     """All primitive nontrivial characters of order dividing e, conductor <= f_max.
 
     Built multiplicatively from prime-power atoms; the result is sorted by
-    conductor with deterministic tie order.  With a budget, building more
+    conductor, ties by components.  With a budget, building more
     than that many characters raises BudgetExceededError; the atoms of a
     prime are made only when the enumeration first reaches it, so an
     oversized request stops before it allocates much.
@@ -336,7 +343,10 @@ def characters_up_to(e: int, f_max: int, budget: int | None = None) -> list[Diri
             i += 1
 
     extend(0, (), 1, 1)
-    out.sort(key=lambda chi: (chi.conductor, chi.components))
+    # characters of one conductor share their (p, k) sequence, and the DFS
+    # emits them in component order, so a stable sort by conductor alone
+    # gives the order of (conductor, components)
+    out.sort(key=attrgetter("conductor"))
     return out
 
 
@@ -365,17 +375,66 @@ class CountReport:
         return out
 
 
-@lru_cache(maxsize=None)
-def _dual_levels(factors: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Nonzero dual exponent tuples grouped by their last nonzero coordinate."""
-    k = len(factors)
-    levels: list[list[tuple[int, ...]]] = [[] for _ in range(k)]
-    for exps in iproduct(*(range(d) for d in factors)):
-        if not any(exps):
+def _power_conductor(chi: DirichletCharacter, g: int) -> int:
+    """Conductor of chi^g, read from the components of chi."""
+    if g == 1:
+        return chi.conductor
+    cond = 1
+    for p, k, exps in chi.components:
+        orders = _local_orders(p, k)
+        cond *= _local_invariants(p, k, tuple(x * g % n for x, n in zip(exps, orders)))[0]
+    return cond
+
+
+def _product_conductor(local: dict, cp: int, chi: DirichletCharacter) -> int:
+    """Conductor of psi * chi for primitive psi and chi.
+
+    local maps each prime of psi to its (k, exps) and cp is the conductor
+    of psi.  Only the primes of gcd(cp, cond chi) need the product of the
+    local components; at every other prime one factor is unramified.
+    """
+    ce = chi.conductor
+    g = math.gcd(cp, ce)
+    if g == 1:
+        return cp * ce
+    cond = cp * ce
+    for p, k, exps in chi.components:
+        if g % p:
             continue
-        last = max(i for i, v in enumerate(exps) if v)
-        levels[last].append(exps)
-    return tuple(tuple(level) for level in levels)
+        k0, exps0 = local[p]
+        top, summed = _local_product(p, k0, exps0, k, exps)
+        cond = cond // p ** (k + k0) * _local_invariants(p, top, summed)[0]
+    return cond
+
+
+def _prefix(psi: DirichletCharacter) -> tuple[DirichletCharacter, dict, int]:
+    return psi, {p: (k, exps) for p, k, exps in psi.components}, psi.conductor
+
+
+def _extended(prefixes: list, powers: tuple[DirichletCharacter, ...]) -> list:
+    """The nonzero products of the images so far, with the powers of the
+    next image chi folded in: psi, chi^e and psi * chi^e."""
+    out = list(prefixes)
+    for chi in powers:
+        out.append(_prefix(chi))
+        out.extend(_prefix(psi.mul(chi)) for psi, _, _ in prefixes)
+    return out
+
+
+def _mixed_invariant(prefixes: list, powers: tuple, inv: int, limit: int | None) -> int | None:
+    """inv times the conductors of the mixed elements psi * chi^e; None if
+    one of them is trivial (conductor 1) or, given a limit, the product
+    passes it.  Without a limit only injectivity is checked."""
+    for _, local, cp in prefixes:
+        for chi in powers:
+            c = _product_conductor(local, cp, chi)
+            if c == 1:
+                return None
+            if limit is not None:
+                inv *= c
+                if inv > limit:
+                    return None
+    return inv
 
 
 def count_surjections(
@@ -387,11 +446,30 @@ def count_surjections(
 ) -> CountReport:
     """Count surjections from the Galois group of Q onto G with invariant <= X.
 
-    Images of the dual-group generators run over Dirichlet characters of
-    exact order d_i (injectivity on the i-th cyclic piece demands that), the
-    partial invariant of the images chosen so far prunes the tree (for ram
-    before any character product is formed), and full injectivity is checked
-    on every nonzero dual element.
+    Generator i of the dual group maps to a character chi_i of exact order
+    d_i (injectivity on the i-th cyclic piece demands that).  Level i of the
+    walk holds the nonzero dual elements whose last nonzero coordinate is i:
+    the powers chi_i^e, 1 <= e < d_i, and the mixed elements psi * chi_i^e,
+    psi a nonzero product of the earlier images.  Injectivity is checked on
+    every mixed element: its image is trivial exactly when its conductor is 1.
+
+    Disc: the conductors of the powers multiply to the pool key
+    disc0(chi) = prod_{1 <= e < d} cond(chi^e).  Every nonidentity dual
+    element maps to a nontrivial primitive character, of conductor at least
+    3, so a tuple with chi_i = chi has discriminant at least
+    disc0(chi) * 3^(|G| - d_i).  The order-d pool therefore holds the keys up
+    to X // 3^(|G| - d), built to conductor integer_root(X // 3^(|G| - d),
+    phi(d)) since disc0 >= cond^phi(d).  The levels after i add at least
+    tail[i + 1]: the product over them of their pool's least key times 3 per
+    mixed element.  Level i keeps the keys up to
+    X // (inv * 3^(mixed_i) * tail[i + 1]), inv the discriminant of the
+    levels before it, and drops an entry once inv * key times its mixed
+    conductors passes X // tail[i + 1].
+
+    Ram: the ramified primes of every dual image lie among those of the
+    generator images, so the invariant is the lcm of the generators'
+    products of ramified primes.  Pools run to conductor 2 d X, keyed by
+    that product, with no tail.
     """
     if x_bound < 1:
         raise ValueError("the bound must be at least 1")
@@ -400,90 +478,92 @@ def count_surjections(
     factors = G.invariant_factors
     if not factors:
         return CountReport(G, x_bound, ordering, 1, 1, ((1, 1),) if histogram else None)
+    disc = ordering == "disc"
+    rank = len(factors)
 
     # every pool character counts as a node, so an oversized request stops
-    # while its pool is built; a pool entry holds chi, chi^2, ..., chi^(d-1).
-    # Disc pools stay sorted by conductor; ram pools are sorted by the
-    # product of the ramified primes of chi, kept alongside in rads[d].
+    # while its pool is built.  A pool is its keys in increasing order and,
+    # for noncyclic G, the powers (chi, chi^2, ..., chi^(d-1)) beside them.
     nodes = 0
-    pools: dict[int, list[tuple[DirichletCharacter, ...]]] = {}
-    rads: dict[int, list[int]] = {}
-    phis = {d: euler_phi(d) for d in factors}
-    for d in sorted(phis):
-        if ordering == "disc":
-            f_cap = integer_root(x_bound, phis[d])
+    pools: dict[int, tuple[list[int], list[tuple[DirichletCharacter, ...]]]] = {}
+    for d in sorted(set(factors)):
+        if disc:
+            rest = G.order - d  # 3^rest > X once rest reaches X's bit length
+            key_cap = x_bound // 3**rest if rest < x_bound.bit_length() else 0
+            f_cap = integer_root(key_cap, euler_phi(d))
         else:
             # order-d characters ramified within {p : p | ram} have conductor
             # at most ram * d * 2 (one extra power of p per p | d, two at 2)
-            f_cap = 2 * d * x_bound
-        chars = characters_up_to(d, f_cap, budget=node_budget - nodes)
+            key_cap, f_cap = x_bound, 2 * d * x_bound
+        chars = characters_up_to(d, f_cap, budget=node_budget - nodes) if f_cap else []
         nodes += len(chars)
-        pools[d] = [(chi, *map(chi.power, range(2, d))) for chi in chars if chi.order == d]
-        if ordering == "ram":
-            keyed = sorted(
-                ((math.prod(powers[0].ramified_primes()), powers) for powers in pools[d]),
-                key=lambda entry: entry[0],
-            )
-            rads[d] = [rad for rad, _ in keyed]
-            pools[d] = [powers for _, powers in keyed]
+        chars = [chi for chi in chars if chi.order == d]
+        if not disc:
+            keys = [math.prod(p for p, _, _ in chi.components) for chi in chars]
+        elif d == 2:
+            keys = [chi.conductor for chi in chars]
+        else:
+            weights = [(g, euler_phi(d // g)) for g in range(1, d) if d % g == 0]
+            keys = [math.prod(_power_conductor(chi, g) ** w for g, w in weights) for chi in chars]
+        if not (disc and d <= 3):  # disc0 is cond for d = 2, cond^2 for d = 3
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            keys = [keys[j] for j in order]
+            chars = [chars[j] for j in order]
+        del keys[bisect_right(keys, key_cap):]
+        powers = [] if rank == 1 else [(chi, *map(chi.power, range(2, d))) for chi in chars[: len(keys)]]
+        pools[d] = (keys, powers)
 
-    levels = _dual_levels(factors)
     hist: dict[int, int] = {}
     count = 0
 
-    def level_conductors(images: list[tuple[DirichletCharacter, ...]], i: int) -> int | None:
-        """Conductor product over the dual elements at level i; None if one
-        of them maps to the trivial character (injectivity fails)."""
-        value = 1
-        for exps in levels[i]:
-            img = TRIVIAL_CHARACTER
-            for powers, e in zip(images, exps):
-                if e:
-                    part = powers[e - 1]
-                    img = part if img.is_trivial() else img.mul(part)
-            if img.is_trivial():
-                return None
-            value *= img.conductor
-        return value
+    if rank == 1:
+        # no mixed elements: every pool key is one surjection's invariant
+        keys = pools[factors[0]][0]
+        nodes += len(keys)
+        if nodes > node_budget:
+            raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
+        count = len(keys)
+        if histogram:
+            hist = Counter(keys)
+    elif all(keys for keys, _ in pools.values()):
+        mixed = [(math.prod(factors[:i]) - 1) * (d - 1) for i, d in enumerate(factors)]
+        tail = [1] * (rank + 1)
+        if disc:
+            for i in reversed(range(rank)):
+                tail[i] = tail[i + 1] * pools[factors[i]][0][0] * 3 ** mixed[i]
+        floors = [3 ** m * t for m, t in zip(mixed, tail[1:])]
 
-    def walk(i: int, images: list[tuple[DirichletCharacter, ...]], inv: int) -> None:
-        """inv is the discriminant of the images so far (disc), or the product
-        of their ramified primes (ram).  The ramified primes of every dual
-        element's image lie in those of the generator images, so the ram
-        invariant of a tuple is the lcm of the generators' prime products."""
-        nonlocal count, nodes
-        if i == len(factors):
-            count += 1
-            if histogram:
-                hist[inv] = hist.get(inv, 0) + 1
-            return
-        d_i = factors[i]
-        phi_d = phis[d_i]
-        for j, powers in enumerate(pools[d_i]):
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
-            if ordering == "disc":
-                if inv * powers[0].conductor**phi_d > x_bound:
-                    break  # pools are sorted by conductor
+        def walk(i: int, inv: int, prefixes: list) -> None:
+            """inv is the invariant of the levels before i; prefixes holds
+            the nonzero products of their images."""
+            nonlocal count, nodes
+            keys, powers_of = pools[factors[i]]
+            if disc:
+                hi = bisect_right(keys, x_bound // (inv * floors[i]))
+                limit = x_bound // tail[i + 1]
             else:
-                rad = rads[d_i][j]
-                if rad > x_bound:
-                    break  # ram pools are sorted by that product
-                new_inv = math.lcm(inv, rad)
-                if new_inv > x_bound:
+                hi, limit = len(keys), None
+            for j in range(hi):
+                nodes += 1
+                if nodes > node_budget:
+                    raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
+                if disc:
+                    new_inv = inv * keys[j]
+                else:
+                    new_inv = math.lcm(inv, keys[j])
+                    if new_inv > x_bound:
+                        continue
+                new_inv = _mixed_invariant(prefixes, powers_of[j], new_inv, limit)
+                if new_inv is None:
                     continue
-            extended = images + [powers]
-            value = level_conductors(extended, i)
-            if value is None:
-                continue
-            if ordering == "disc":
-                new_inv = inv * value
-                if new_inv > x_bound:
+                if i + 1 < rank:
+                    walk(i + 1, new_inv, _extended(prefixes, powers_of[j]))
                     continue
-            walk(i + 1, extended, new_inv)
+                count += 1
+                if histogram:
+                    hist[new_inv] = hist.get(new_inv, 0) + 1
 
-    walk(0, [], 1)
+        walk(0, 1, [])
     aut = aut_order(G)
     assert count % aut == 0, "surjection count must be divisible by |Aut(G)|"
     hist_out = tuple(sorted(hist.items())) if histogram else None

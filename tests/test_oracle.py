@@ -211,6 +211,15 @@ class TestCharactersUpTo:
     def test_against_modulus_enumeration(self, e, f_max):
         assert len(characters_up_to(e, f_max)) == self._brute_force_count(e, f_max)
 
+    @pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 6, 8, 12])
+    def test_ties_are_in_component_order(self, e):
+        # the pool is sorted by conductor alone; characters of one conductor
+        # must still come in the order of their components
+        for f_max in (1, 8, 100, 2000) + ((20000,) if e <= 6 else ()):
+            chars = characters_up_to(e, f_max)
+            expected = sorted(chars, key=lambda chi: (chi.conductor, chi.components))
+            assert [chi.components for chi in chars] == [chi.components for chi in expected]
+
 
 def _ram_histogram_by_definition(G, X):
     """Every tuple of generator images of exact orders d_i, injective on the
@@ -235,6 +244,45 @@ def _ram_histogram_by_definition(G, X):
         else:
             if math.prod(primes) <= X:
                 hist[math.prod(primes)] = hist.get(math.prod(primes), 0) + 1
+    return hist
+
+
+def _disc_histogram_by_definition(G, X):
+    """Every tuple of generator images of exact orders d_i, injective on the
+    dual group, by the product of the conductors of all dual images.  Each
+    image's conductor is a factor of the discriminant, so the pools run to
+    conductor X, and a partial product past X ends a branch."""
+    factors = G.invariant_factors
+    pools = [[chi for chi in characters_up_to(d, X) if chi.order == d] for d in factors]
+    hist = {}
+
+    def image(images, exps):
+        parts = [chi.power(e) for chi, e in zip(images, exps) if e]
+        img = parts[0]
+        for part in parts[1:]:
+            img = img.mul(part)
+        return img
+
+    def extend(images, disc):
+        i = len(images)
+        if i == len(factors):
+            hist[disc] = hist.get(disc, 0) + 1
+            return
+        # the dual elements whose last nonzero coordinate is i
+        new_exps = list(product(*(range(d) for d in factors[:i]), range(1, factors[i])))
+        for chi in pools[i]:
+            if disc * chi.conductor > X:
+                break  # chi itself is one of the images
+            value = disc
+            for exps in new_exps:
+                img = image(images + [chi], exps)
+                if img.is_trivial() or value * img.conductor > X:
+                    break
+                value *= img.conductor
+            else:
+                extend(images + [chi], value)
+
+    extend([], 1)
     return hist
 
 
@@ -286,6 +334,26 @@ class TestCounting:
         G = make_group(factors)
         rep = count_surjections(G, X, "ram", histogram=True)
         assert dict(rep.histogram) == _ram_histogram_by_definition(G, X)
+
+    @pytest.mark.parametrize("factors,X", [
+        ([2], 2000), ([3], 3000), ([4], 4000), ([6], 17000), ([2, 2], 3000),
+        ([2, 4], 2000), ([3, 3], 3000), ([2, 2, 2], 1000),
+    ])
+    def test_disc_walk_matches_definition(self, factors, X):
+        G = make_group(factors)
+        rep = count_surjections(G, X, histogram=True)
+        assert dict(rep.histogram) == _disc_histogram_by_definition(G, X)
+
+    @pytest.mark.parametrize("factors,X,fields", [
+        ([2, 2], 143, 0),
+        ([2, 2], 144, 1),  # Q(i, sqrt(-3)): 3 * 4 * 12
+        ([2, 4], 1_265_624, 0),
+        ([2, 4], 1_265_625, 1),  # Q(zeta_15): 3^4 * 5^6
+    ])
+    def test_smallest_discriminant_edge(self, factors, X, fields):
+        # the pool cap X // 3^(|G| - d) and the tail bound sit exactly at
+        # the smallest discriminant; one below it nothing is counted
+        assert count_surjections(make_group(factors), X).fields == fields
 
     def test_trivial_group(self):
         rep = count_surjections(make_group([]), 5)
