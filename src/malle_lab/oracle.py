@@ -10,18 +10,22 @@ invariant is the radical of their lcm.
 
 Characters are stored by prime-power local components on coherent unit
 group generators, so multiplication, conductors, and primitivity are all
-componentwise.
+componentwise.  Cyclic groups need no character objects past a few local
+atoms: both invariants of a character are products of one factor per
+prime, so their counts walk integer atom types prime by prime.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
+from itertools import accumulate, islice, repeat
+from operator import attrgetter, sub
 
 from .groups import AbelianGroup, aut_order, make_group
 from .numerics import euler_phi, integer_root, primes_up_to, unit_group_components
@@ -297,13 +301,18 @@ def characters_up_to(e: int, f_max: int, budget: int | None = None) -> list[Diri
     """All primitive nontrivial characters of order dividing e, conductor <= f_max.
 
     Built multiplicatively from prime-power atoms; the result is sorted by
-    conductor, ties by components.  With a budget, building more
-    than that many characters raises BudgetExceededError; the atoms of a
-    prime are made only when the enumeration first reaches it, so an
-    oversized request stops before it allocates much.
+    conductor, ties by components.  With a budget, the primes up to f_max
+    count as f_max of it and every character built as one more; f_max alone
+    past the budget raises BudgetExceededError before the primes are
+    sieved.  The atoms of a prime are made only when the enumeration first
+    reaches it, so an oversized request stops before it allocates much.
     """
     if e < 1 or f_max < 1:
         raise ValueError("order and conductor bounds must be positive")
+    if budget is not None:
+        budget -= f_max
+        if budget < 0:
+            raise BudgetExceededError(f"sieving to {f_max} exceeds the budget")
     primes = iter(primes_up_to(f_max))
     atoms_by_p: list[tuple[int, list[DirichletCharacter]]] = []
 
@@ -437,6 +446,120 @@ def _mixed_invariant(prefixes: list, powers: tuple, inv: int, limit: int | None)
     return inv
 
 
+def _disc_weights(d: int) -> list[tuple[int, int]]:
+    """(g, phi(d/g)) over the proper divisors g of d: cond(chi^e) depends on
+    e only through gcd(e, d), so disc0(chi) = prod_g cond(chi^g)^phi(d/g)."""
+    return [(g, euler_phi(d // g)) for g in range(1, d) if d % g == 0]
+
+
+def _local_types(p: int, d: int, disc: bool) -> tuple[tuple[int, int, int], ...]:
+    """(c, order, multiplicity) of the primitive atoms at p of order dividing d.
+
+    An atom multiplies the invariant by p^c: by its disc0 for disc, by p for
+    ram.  Atoms of order dividing d live mod p^k for k <= v_p(d) + 1, and
+    k <= v_2(d) + 2 at p = 2; for p not dividing d only k = 1 has any.
+    """
+    top = 2 if p == 2 else 1
+    rest = d
+    while rest % p == 0:
+        rest //= p
+        top += 1
+    weights = _disc_weights(d)
+    types: Counter = Counter()
+    for k in range(1, top + 1):
+        for atom in _local_primitive_atoms(p, k, d):
+            f = math.prod(_power_conductor(atom, g) ** w for g, w in weights) if disc else p
+            c = 0
+            while f > 1:
+                f //= p
+                c += 1
+            types[c, atom.order] += 1
+    return tuple(sorted((c, t, m) for (c, t), m in types.items()))
+
+
+def _cyclic_count(
+    d: int, x_bound: int, disc: bool, histogram: bool, node_budget: int
+) -> tuple[int, dict[int, int]]:
+    """Characters of exact order d with invariant <= X, and their histogram.
+
+    A character is a product of primitive local atoms at distinct primes,
+    of exact order the lcm of their orders, and both invariants are
+    products of one factor p^c per atom.  So the walk runs over integers:
+    it takes primes in ascending order and atom types (c, order,
+    multiplicity) from ``_local_types``, multiplying keys and
+    multiplicities.  Above d every prime is tame and its types depend only
+    on gcd(p - 1, d): they are made once per class, from its first prime.
+
+    Without a histogram, once no two more primes fit (key times
+    (p p_next)^c_min passes X), the single-prime leaves are counted by
+    bisection with prefix sums, per tame type, of its multiplicity.
+    """
+    # the primes to the sieve bound count as nodes, checked before the sieve
+    nodes = integer_root(x_bound, euler_phi(d)) if disc else x_bound
+    if nodes > node_budget:
+        raise BudgetExceededError(f"sieving to {nodes} exceeds {node_budget} nodes")
+    primes = primes_up_to(nodes)
+    small = bisect_right(primes, d)
+    local = [_local_types(p, d, disc) for p in primes[:small]]
+    classes = array("q", map(math.gcd, map(sub, islice(primes, small, None), repeat(1)), repeat(d)))
+    tame = {g: _local_types(primes[small + classes.index(g)], d, disc) for g in set(classes)}
+    tame_types = {(c, t) for types in tame.values() for c, t, _ in types}
+    c_min = min((c for c, _ in tame_types), default=0)
+    end = len(primes) if tame_types else small
+    prefix: dict[tuple[int, int], array] = {}
+    for c, t in () if histogram else tame_types:
+        mult = [0] * (d + 1)
+        for g, types in tame.items():
+            mult[g] = sum(m for c1, t1, m in types if (c1, t1) == (c, t))
+        prefix[c, t] = array("q", accumulate(map(mult.__getitem__, classes), initial=0))
+
+    def leaves(j: int, room: int, order: int) -> int:
+        """Atoms of primes from the j-th on that complete order to d and
+        fit in room."""
+        total = 0
+        for (c, t), pre in prefix.items():
+            if math.lcm(order, t) == d:
+                hi = bisect_right(primes, integer_root(room, c), j)
+                total += pre[hi - small] - pre[j - small]
+        return total
+
+    count = 0
+    hist: dict[int, int] = {}
+
+    def walk(j: int, key: int, order: int, mult: int) -> None:
+        """key, order and mult of the atoms taken so far, all at primes
+        before the j-th."""
+        nonlocal count, nodes
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
+        if order == d:
+            count += mult
+            if histogram:
+                hist[key] = hist.get(key, 0) + mult
+        room = x_bound // key
+        while j < end:
+            p = primes[j]
+            if j < small:
+                types = local[j]
+            else:
+                if p**c_min > room:
+                    break
+                if prefix and (j + 1 == end or (p * primes[j + 1]) ** c_min > room):
+                    count += mult * leaves(j, room, order)
+                    break
+                types = tame[classes[j - small]]
+            for c, t, m in types:
+                f = p**c
+                if f > room:
+                    break
+                walk(j + 1, key * f, math.lcm(order, t), mult * m)
+            j += 1
+
+    walk(0, 1, 1, 1)
+    return count, hist
+
+
 def count_surjections(
     G: AbelianGroup,
     x_bound: int,
@@ -446,20 +569,27 @@ def count_surjections(
 ) -> CountReport:
     """Count surjections from the Galois group of Q onto G with invariant <= X.
 
-    Generator i of the dual group maps to a character chi_i of exact order
-    d_i (injectivity on the i-th cyclic piece demands that).  Level i of the
-    walk holds the nonzero dual elements whose last nonzero coordinate is i:
-    the powers chi_i^e, 1 <= e < d_i, and the mixed elements psi * chi_i^e,
-    psi a nonzero product of the earlier images.  Injectivity is checked on
-    every mixed element: its image is trivial exactly when its conductor is 1.
+    Cyclic G = C_d: a surjection is a character of exact order d, and its
+    invariant is disc0(chi) = prod_{1 <= e < d} cond(chi^e) (disc) or the
+    product of its ramified primes (ram).  ``_cyclic_count`` counts them by
+    a walk over integer atom types, with no character objects; the primes
+    it sieves, to integer_root(X, phi(d)) for disc (disc0 >= cond^phi(d))
+    and to X for ram, count against the node budget before the sieve runs.
 
-    Disc: the conductors of the powers multiply to the pool key
-    disc0(chi) = prod_{1 <= e < d} cond(chi^e).  Every nonidentity dual
-    element maps to a nontrivial primitive character, of conductor at least
-    3, so a tuple with chi_i = chi has discriminant at least
-    disc0(chi) * 3^(|G| - d_i).  The order-d pool therefore holds the keys up
-    to X // 3^(|G| - d), built to conductor integer_root(X // 3^(|G| - d),
-    phi(d)) since disc0 >= cond^phi(d).  The levels after i add at least
+    Noncyclic G: generator i of the dual group maps to a character chi_i of
+    exact order d_i (injectivity on the i-th cyclic piece demands that).
+    Level i of the walk holds the nonzero dual elements whose last nonzero
+    coordinate is i: the powers chi_i^e, 1 <= e < d_i, and the mixed
+    elements psi * chi_i^e, psi a nonzero product of the earlier images.
+    Injectivity is checked on every mixed element: its image is trivial
+    exactly when its conductor is 1.
+
+    Disc: the conductors of the powers multiply to the pool key disc0(chi).
+    Every nonidentity dual element maps to a nontrivial primitive
+    character, of conductor at least 3, so a tuple with chi_i = chi has
+    discriminant at least disc0(chi) * 3^(|G| - d_i).  The order-d pool
+    therefore holds the keys up to X // 3^(|G| - d), built to conductor
+    integer_root(X // 3^(|G| - d), phi(d)).  The levels after i add at least
     tail[i + 1]: the product over them of their pool's least key times 3 per
     mixed element.  Level i keeps the keys up to
     X // (inv * 3^(mixed_i) * tail[i + 1]), inv the discriminant of the
@@ -480,10 +610,26 @@ def count_surjections(
         return CountReport(G, x_bound, ordering, 1, 1, ((1, 1),) if histogram else None)
     disc = ordering == "disc"
     rank = len(factors)
+    if rank == 1:
+        count, hist = _cyclic_count(factors[0], x_bound, disc, histogram, node_budget)
+    else:
+        count, hist = _noncyclic_count(G, x_bound, disc, histogram, node_budget)
+    aut = aut_order(G)
+    assert count % aut == 0, "surjection count must be divisible by |Aut(G)|"
+    hist_out = tuple(sorted(hist.items())) if histogram else None
+    return CountReport(G, x_bound, ordering, count, count // aut, hist_out)
 
-    # every pool character counts as a node, so an oversized request stops
-    # while its pool is built.  A pool is its keys in increasing order and,
-    # for noncyclic G, the powers (chi, chi^2, ..., chi^(d-1)) beside them.
+
+def _noncyclic_count(
+    G: AbelianGroup, x_bound: int, disc: bool, histogram: bool, node_budget: int
+) -> tuple[int, dict[int, int]]:
+    """Surjections onto G of rank >= 2 by the pool walk of ``count_surjections``."""
+    # the sieve bound of a pool and every pool character count as nodes, so
+    # an oversized request stops before or while its pool is built.  A pool
+    # is its keys in increasing order and the powers (chi, chi^2, ...,
+    # chi^(d-1)) beside them.
+    factors = G.invariant_factors
+    rank = len(factors)
     nodes = 0
     pools: dict[int, tuple[list[int], list[tuple[DirichletCharacter, ...]]]] = {}
     for d in sorted(set(factors)):
@@ -496,36 +642,27 @@ def count_surjections(
             # at most ram * d * 2 (one extra power of p per p | d, two at 2)
             key_cap, f_cap = x_bound, 2 * d * x_bound
         chars = characters_up_to(d, f_cap, budget=node_budget - nodes) if f_cap else []
-        nodes += len(chars)
+        nodes += f_cap + len(chars)
         chars = [chi for chi in chars if chi.order == d]
         if not disc:
             keys = [math.prod(p for p, _, _ in chi.components) for chi in chars]
         elif d == 2:
             keys = [chi.conductor for chi in chars]
         else:
-            weights = [(g, euler_phi(d // g)) for g in range(1, d) if d % g == 0]
+            weights = _disc_weights(d)
             keys = [math.prod(_power_conductor(chi, g) ** w for g, w in weights) for chi in chars]
         if not (disc and d <= 3):  # disc0 is cond for d = 2, cond^2 for d = 3
             order = sorted(range(len(keys)), key=keys.__getitem__)
             keys = [keys[j] for j in order]
             chars = [chars[j] for j in order]
         del keys[bisect_right(keys, key_cap):]
-        powers = [] if rank == 1 else [(chi, *map(chi.power, range(2, d))) for chi in chars[: len(keys)]]
+        powers = [(chi, *map(chi.power, range(2, d))) for chi in chars[: len(keys)]]
         pools[d] = (keys, powers)
 
     hist: dict[int, int] = {}
     count = 0
 
-    if rank == 1:
-        # no mixed elements: every pool key is one surjection's invariant
-        keys = pools[factors[0]][0]
-        nodes += len(keys)
-        if nodes > node_budget:
-            raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
-        count = len(keys)
-        if histogram:
-            hist = Counter(keys)
-    elif all(keys for keys, _ in pools.values()):
+    if all(keys for keys, _ in pools.values()):
         mixed = [(math.prod(factors[:i]) - 1) * (d - 1) for i, d in enumerate(factors)]
         tail = [1] * (rank + 1)
         if disc:
@@ -564,7 +701,4 @@ def count_surjections(
                     hist[new_inv] = hist.get(new_inv, 0) + 1
 
         walk(0, 1, [])
-    aut = aut_order(G)
-    assert count % aut == 0, "surjection count must be divisible by |Aut(G)|"
-    hist_out = tuple(sorted(hist.items())) if histogram else None
-    return CountReport(G, x_bound, ordering, count, count // aut, hist_out)
+    return count, hist

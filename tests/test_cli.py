@@ -94,6 +94,11 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "count_surjections", over_budget)
         assert invoke(["count", "C2", "--X", "10"])[0] == 3
 
+    def test_oracle_sieve_past_the_budget(self):
+        # the sieve bound 10^9 is past the default node budget, so the count
+        # exits 3 before any prime is sieved
+        assert invoke(["count", "C2", "--X", "1000000000"])[0] == 3
+
 
 class TestManifest:
     def test_fields_present(self):

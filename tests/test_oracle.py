@@ -1,9 +1,12 @@
 import math
+import time
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from malle_lab import oracle
 from malle_lab.groups import make_group
 from malle_lab.numerics import euler_phi, factorize, unit_group_components
 from malle_lab.oracle import (
@@ -286,6 +289,57 @@ def _disc_histogram_by_definition(G, X):
     return hist
 
 
+def _steps(hist, x):
+    return sum(m for n, m in hist.items() if n <= x)
+
+
+class TestCyclicWalk:
+    """The integer walk for G = C_d against the character-by-character
+    definitions; the wild primes 2 and 3 appear in C4, C6, C8, C9, C12 and
+    C16."""
+
+    def _check(self, d, X, ordering, reference):
+        G = make_group([d])
+        ref = reference(G, X)
+        rep = count_surjections(G, X, ordering, histogram=True)
+        assert dict(rep.histogram) == ref
+        # the count without a histogram takes the bisected single-prime
+        # leaves.  N(x) changes only at invariants, so it is checked at each
+        # invariant and one below it, and at every two-prime edge
+        # (p q)^c (and one below) for consecutive primes p < q, where the
+        # walk switches to bisection
+        primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+        edges = {(p * q) ** c + s for p, q in zip(primes, primes[1:]) for c in (1, 2, 3) for s in (-1, 0)}
+        xs = sorted({n + s for n in ref for s in (-1, 0)} | {x for x in edges if 1 <= x <= X} | {X})
+        for x in xs:
+            assert count_surjections(G, x, ordering).surjections == _steps(ref, x), x
+        assert count_surjections(G, X, ordering).surjections == sum(ref.values())
+
+    @pytest.mark.parametrize("d,X", [
+        (2, 3000), (3, 10000), (4, 10000), (5, 15000), (6, 20000),
+        (8, 2000), (9, 2000), (12, 2000), (16, 2000),
+    ])
+    def test_disc_matches_definition(self, d, X):
+        self._check(d, X, "disc", _disc_histogram_by_definition)
+
+    @pytest.mark.parametrize("d,X", [
+        (2, 500), (3, 500), (4, 300), (5, 300), (6, 300),
+        (8, 200), (9, 200), (12, 150), (16, 100),
+    ])
+    def test_ram_matches_definition(self, d, X):
+        self._check(d, X, "ram", _ram_histogram_by_definition)
+
+    @pytest.mark.parametrize("d,X,ordering", [
+        (2, 10**6, "disc"), (3, 10**9, "disc"), (4, 10**8, "disc"),
+        (6, 10**8, "disc"), (2, 10**5, "ram"), (4, 10**4, "ram"),
+    ])
+    def test_count_is_the_histogram_sum(self, d, X, ordering):
+        G = make_group([d])
+        rep = count_surjections(G, X, ordering, histogram=True)
+        assert count_surjections(G, X, ordering).surjections == rep.surjections
+        assert sum(m for _, m in rep.histogram) == rep.surjections
+
+
 class TestCounting:
     def test_c2_up_to_ten(self):
         rep = count_surjections(make_group([2]), 10)
@@ -364,8 +418,8 @@ class TestCounting:
             count_surjections(make_group([2]), 10**5, node_budget=100)
 
     def test_budget_stops_the_pool_build(self):
-        # the full pool would hold 608k characters; the budget stops its
-        # build after 10k
+        # the sieve bound 10^6 alone is past the budget, so the count stops
+        # before the primes are sieved
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceededError):
@@ -374,6 +428,50 @@ class TestCounting:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
+
+    def test_default_budget_stops_before_the_sieve(self):
+        # sieving to 10^9 would take minutes and gigabytes; the sieve bound
+        # counts against the node budget and is checked first
+        tracemalloc.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(BudgetExceededError):
+                count_surjections(make_group([2]), 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - start < 1
+        assert peak < 2**20
+
+    def test_pool_sieve_counts_against_the_budget(self):
+        with pytest.raises(BudgetExceededError):
+            characters_up_to(2, 10**7, budget=10)
+        assert len(characters_up_to(2, 100, budget=200)) == 61
+
+    def test_cyclic_count_builds_no_pool(self, monkeypatch):
+        # the cyclic walk reads its atom types from the few local atoms at
+        # the small primes and the first prime of each class mod d, never
+        # one character per character counted
+        built = Counter()
+        post_init = DirichletCharacter.__post_init__
+        assembled = oracle._assembled
+
+        def counted_post_init(chi):
+            built["post_init"] += 1
+            post_init(chi)
+
+        def counted_assembled(*args):
+            built["assembled"] += 1
+            return assembled(*args)
+
+        monkeypatch.setattr(DirichletCharacter, "__post_init__", counted_post_init)
+        monkeypatch.setattr(oracle, "_assembled", counted_assembled)
+        count_surjections(make_group([2]), 10)
+        atoms = dict(built)
+        built.clear()
+        assert count_surjections(make_group([2]), 10**5).surjections == 60786
+        assert dict(built) == atoms
+        assert sum(atoms.values()) <= 4
 
     def test_leaves_factorize_cache_empty(self):
         # local orders come from the closed form (p - 1) p^(k - 1), so the
