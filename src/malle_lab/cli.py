@@ -254,10 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="malle-lab",
         description="Counting invariants, power-saving bounds, Euler products, "
         "and brute-force oracles for abelian extensions of Q. "
-        "Measured count capacities: C2 to X = 1e6 in 0.27 s and to 4.9e7 (the node "
-        "budget's sieve bound) in 4.4 s, C4 to 1e10 in 0.17 s, C6 to 1e9 in 0.16 s, "
-        "C3 to 1e12 in 0.29 s, C2xC2 to 1e6 in 2.8 s, "
-        "C2xC4 to 1e6 in 0.21 s and to 1e8 in 0.87 s, C2xC2xC2 to 1e8 in 3.8 s.",
+        "Measured count capacities: C2 to X = 1e6 in 0.20 s and to 4.9e7 (the node "
+        "budget's sieve bound) in 2.8 s, C4 to 1e10 in 0.22 s, C6 to 1e9 in 0.22 s, "
+        "C3 to 1e12 in 0.29 s, C2xC2 to 1e12 in 0.91 s, "
+        "C2xC4 to 1e22 in 0.74 s, C2xC2xC2 to 1e19 in 1.0 s.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

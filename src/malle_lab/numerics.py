@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
+from itertools import compress
 
 DEFAULT_PRECISION = 50
 
@@ -34,7 +35,7 @@ def primes_up_to(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start : n + 1 : p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(n + 1), sieve))
 
 
 def integer_root(x: int, k: int) -> int:

@@ -1,18 +1,19 @@
-"""Brute-force counting of abelian extensions of Q through Dirichlet characters.
+"""Brute-force counting of abelian extensions of Q through local homomorphisms.
 
-Every continuous surjection from the absolute Galois group of Q onto an
-abelian group G corresponds, by duality and Kronecker-Weber, to exactly one
-injection of the dual group of G into the group of Dirichlet characters.
-Enumerating character tuples therefore counts surjections with no field
-arithmetic at all: the discriminant is the product over the dual group of
-the conductors of the image characters, and the product-of-ramified-primes
-invariant is the radical of their lcm.
+By Kronecker-Weber the Galois group of the maximal abelian extension of Q
+is the product over p of Z_p^*, so a continuous surjection onto an abelian
+group G is a tuple of homomorphisms (Z/p^k)^* -> G, almost all trivial,
+whose images generate G.  Both invariants multiply one factor p^c per
+nontrivial local homomorphism: c = 1 for the product of ramified primes,
+and for the discriminant, by the conductor-discriminant formula, the sum
+over the dual group of the p-adic valuations of the local conductors.  So
+counts walk integer local types prime by prime, keyed by the image
+subgroups they generate, with no field arithmetic and no character objects.
 
-Characters are stored by prime-power local components on coherent unit
-group generators, so multiplication, conductors, and primitivity are all
-componentwise.  Cyclic groups need no character objects past a few local
-atoms: both invariants of a character are products of one factor per
-prime, so their counts walk integer atom types prime by prime.
+Dirichlet characters, stored by prime-power local components on coherent
+unit group generators so that multiplication, conductors and primitivity
+are componentwise, serve the L-values; the local types read the conductor
+of one such component (``_local_invariants``).
 """
 
 from __future__ import annotations
@@ -24,11 +25,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
-from operator import attrgetter, sub
+from itertools import accumulate, islice, product, repeat
+from operator import attrgetter, mul, sub
 
-from .groups import AbelianGroup, aut_order, make_group
-from .numerics import euler_phi, integer_root, primes_up_to, unit_group_components
+from .groups import AbelianGroup, Element, Subgroup, aut_order, make_group, span, trivial_subgroup
+from .numerics import (
+    integer_root,
+    primes_up_to,
+    smallest_prime_factor,
+    unit_group_components,
+)
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
@@ -297,22 +303,15 @@ def _local_primitive_atoms(p: int, k: int, e: int) -> tuple[DirichletCharacter, 
     return tuple(out)
 
 
-def characters_up_to(e: int, f_max: int, budget: int | None = None) -> list[DirichletCharacter]:
+def characters_up_to(e: int, f_max: int) -> list[DirichletCharacter]:
     """All primitive nontrivial characters of order dividing e, conductor <= f_max.
 
     Built multiplicatively from prime-power atoms; the result is sorted by
-    conductor, ties by components.  With a budget, the primes up to f_max
-    count as f_max of it and every character built as one more; f_max alone
-    past the budget raises BudgetExceededError before the primes are
-    sieved.  The atoms of a prime are made only when the enumeration first
-    reaches it, so an oversized request stops before it allocates much.
+    conductor, ties by components.  The atoms of a prime are made only when
+    the enumeration first reaches it.
     """
     if e < 1 or f_max < 1:
         raise ValueError("order and conductor bounds must be positive")
-    if budget is not None:
-        budget -= f_max
-        if budget < 0:
-            raise BudgetExceededError(f"sieving to {f_max} exceeds the budget")
     primes = iter(primes_up_to(f_max))
     atoms_by_p: list[tuple[int, list[DirichletCharacter]]] = []
 
@@ -336,8 +335,6 @@ def characters_up_to(e: int, f_max: int, budget: int | None = None) -> list[Diri
 
     def extend(start: int, comps: tuple, cond: int, order: int) -> None:
         if cond > 1:
-            if budget is not None and len(out) >= budget:
-                raise BudgetExceededError(f"character pool exceeded {budget} characters")
             out.append(_assembled(comps, cond, order))
         i = start
         while (entry := atoms_at(i)) is not None:
@@ -384,141 +381,143 @@ class CountReport:
         return out
 
 
-def _power_conductor(chi: DirichletCharacter, g: int) -> int:
-    """Conductor of chi^g, read from the components of chi."""
-    if g == 1:
-        return chi.conductor
-    cond = 1
-    for p, k, exps in chi.components:
-        orders = _local_orders(p, k)
-        cond *= _local_invariants(p, k, tuple(x * g % n for x, n in zip(exps, orders)))[0]
-    return cond
+class _Joins(dict):
+    """The joins of one state: h -> make(state, h), each made on first use."""
+
+    def __init__(self, make, state: int) -> None:
+        self.make = make
+        self.state = state
+
+    def __missing__(self, h: int) -> int:
+        j = self[h] = self.make(self.state, h)
+        return j
 
 
-def _product_conductor(local: dict, cp: int, chi: DirichletCharacter) -> int:
-    """Conductor of psi * chi for primitive psi and chi.
-
-    local maps each prime of psi to its (k, exps) and cp is the conductor
-    of psi.  Only the primes of gcd(cp, cond chi) need the product of the
-    local components; at every other prime one factor is unramified.
-    """
-    ce = chi.conductor
-    g = math.gcd(cp, ce)
-    if g == 1:
-        return cp * ce
-    cond = cp * ce
-    for p, k, exps in chi.components:
-        if g % p:
-            continue
-        k0, exps0 = local[p]
-        top, summed = _local_product(p, k0, exps0, k, exps)
-        cond = cond // p ** (k + k0) * _local_invariants(p, top, summed)[0]
-    return cond
+def _killed_by(G: AbelianGroup, n: int) -> list[Element]:
+    """The elements g of G with n g = 0."""
+    return list(product(*(range(0, d, d // math.gcd(n, d)) for d in G.invariant_factors)))
 
 
-def _prefix(psi: DirichletCharacter) -> tuple[DirichletCharacter, dict, int]:
-    return psi, {p: (k, exps) for p, k, exps in psi.components}, psi.conductor
-
-
-def _extended(prefixes: list, powers: tuple[DirichletCharacter, ...]) -> list:
-    """The nonzero products of the images so far, with the powers of the
-    next image chi folded in: psi, chi^e and psi * chi^e."""
-    out = list(prefixes)
-    for chi in powers:
-        out.append(_prefix(chi))
-        out.extend(_prefix(psi.mul(chi)) for psi, _, _ in prefixes)
-    return out
-
-
-def _mixed_invariant(prefixes: list, powers: tuple, inv: int, limit: int | None) -> int | None:
-    """inv times the conductors of the mixed elements psi * chi^e; None if
-    one of them is trivial (conductor 1) or, given a limit, the product
-    passes it.  Without a limit only injectivity is checked."""
-    for _, local, cp in prefixes:
-        for chi in powers:
-            c = _product_conductor(local, cp, chi)
-            if c == 1:
-                return None
-            if limit is not None:
-                inv *= c
-                if inv > limit:
-                    return None
-    return inv
-
-
-def _disc_weights(d: int) -> list[tuple[int, int]]:
-    """(g, phi(d/g)) over the proper divisors g of d: cond(chi^e) depends on
-    e only through gcd(e, d), so disc0(chi) = prod_g cond(chi^g)^phi(d/g)."""
-    return [(g, euler_phi(d // g)) for g in range(1, d) if d % g == 0]
-
-
-def _local_types(p: int, d: int, disc: bool) -> tuple[tuple[int, int, int], ...]:
-    """(c, order, multiplicity) of the primitive atoms at p of order dividing d.
-
-    An atom multiplies the invariant by p^c: by its disc0 for disc, by p for
-    ram.  Atoms of order dividing d live mod p^k for k <= v_p(d) + 1, and
-    k <= v_2(d) + 2 at p = 2; for p not dividing d only k = 1 has any.
-    """
-    top = 2 if p == 2 else 1
-    rest = d
-    while rest % p == 0:
-        rest //= p
-        top += 1
-    weights = _disc_weights(d)
-    types: Counter = Counter()
-    for k in range(1, top + 1):
-        for atom in _local_primitive_atoms(p, k, d):
-            f = math.prod(_power_conductor(atom, g) ** w for g, w in weights) if disc else p
-            c = 0
-            while f > 1:
-                f //= p
-                c += 1
-            types[c, atom.order] += 1
-    return tuple(sorted((c, t, m) for (c, t), m in types.items()))
-
-
-def _cyclic_count(
-    d: int, x_bound: int, disc: bool, histogram: bool, node_budget: int
+def _count(
+    G: AbelianGroup, x_bound: int, disc: bool, histogram: bool, node_budget: int
 ) -> tuple[int, dict[int, int]]:
-    """Characters of exact order d with invariant <= X, and their histogram.
+    """Surjections onto G with invariant <= X, and their histogram.
 
-    A character is a product of primitive local atoms at distinct primes,
-    of exact order the lcm of their orders, and both invariants are
-    products of one factor p^c per atom.  So the walk runs over integers:
-    it takes primes in ascending order and atom types (c, order,
-    multiplicity) from ``_local_types``, multiplying keys and
-    multiplicities.  Above d every prime is tame and its types depend only
-    on gcd(p - 1, d): they are made once per class, from its first prime.
+    A surjection is a tuple of local homs phi_p : (Z/p^k)^* -> G, almost all
+    trivial, whose images generate G, and both invariants are products of
+    one factor p^c per nontrivial phi_p.  So the walk runs over integers:
+    it takes primes in ascending order and local types (c, image,
+    multiplicity), the image an interned subgroup, multiplying keys and
+    multiplicities and joining images by one table, filled as the walk
+    first asks for each entry.  Above exp G every prime is tame and its
+    types depend only on gcd(p - 1, exp G): they are made once per class,
+    from its first prime.
 
     Without a histogram, once no two more primes fit (key times
     (p p_next)^c_min passes X), the single-prime leaves are counted by
     bisection with prefix sums, per tame type, of its multiplicity.
     """
-    # the primes to the sieve bound count as nodes, checked before the sieve
-    nodes = integer_root(x_bound, euler_phi(d)) if disc else x_bound
+    # a nontrivial phi_p multiplies disc by p once per dual element that is
+    # nontrivial on its image, at least |G| - |G|/l of them for l the least
+    # prime dividing |G|; the primes to the sieve bound count as nodes,
+    # checked before the sieve
+    order, exp, factors = G.order, G.exponent, G.invariant_factors
+    nodes = integer_root(x_bound, order - order // smallest_prime_factor(order)) if disc else x_bound
     if nodes > node_budget:
         raise BudgetExceededError(f"sieving to {nodes} exceeds {node_budget} nodes")
     primes = primes_up_to(nodes)
-    small = bisect_right(primes, d)
-    local = [_local_types(p, d, disc) for p in primes[:small]]
-    classes = array("q", map(math.gcd, map(sub, islice(primes, small, None), repeat(1)), repeat(d)))
-    tame = {g: _local_types(primes[small + classes.index(g)], d, disc) for g in set(classes)}
-    tame_types = {(c, t) for types in tame.values() for c, t, _ in types}
+    if not primes:
+        return 0, {}
+    duals = G.elements() if disc else ()
+    # subgroups are interned as small ints, the trivial one first; join[s][h]
+    # is the subgroup generated by s and the image h
+    subgroups: list[Subgroup] = []
+    ids: dict[frozenset, int] = {}
+    join: list[_Joins] = []
+    full = None
+
+    def charge(n: int) -> None:
+        nonlocal nodes
+        nodes += n
+        if nodes > node_budget:
+            raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
+
+    def intern(H: Subgroup) -> int:
+        nonlocal full
+        h = ids.setdefault(H.elements, len(subgroups))
+        if h == len(subgroups):
+            subgroups.append(H)
+            join.append(_Joins(joined, h))
+            if H.order == order:
+                full = h
+        return h
+
+    def joined(state: int, h: int) -> int:
+        A, B = subgroups[state], subgroups[h]
+        if B.elements <= A.elements:
+            return state
+        H = span(G, A.generators + B.generators)
+        charge(H.order)
+        return intern(H)
+
+    intern(trivial_subgroup(G))
+
+    def types_at(p: int, k: int) -> tuple[tuple[int, int, int], ...]:
+        """(c, image, multiplicity) of the nontrivial homs (Z/p^k)^* -> G,
+        given by the images of the generators of (Z/p^k)^*.  For disc, c
+        sums v_p(cond(psi o phi)) over the dual group."""
+        orders = _local_orders(p, k)
+        images = [_killed_by(G, n) for n in orders]
+        charge(math.prod(map(len, images)) * (len(duals) if disc else 1))
+        exponent = {p**e: e for e in range(k + 1)}
+        found: Counter = Counter()
+        for hom in product(*images):
+            gens = tuple(g for g in hom if any(g))
+            if not gens:
+                continue
+            c = 1
+            if disc:
+                # psi o phi sends generator j to sum_i psi_i g_i n_j / d_i mod n_j
+                scaled = [[x * n // d for x, d in zip(g, factors)] for g, n in zip(hom, orders)]
+                c = sum(
+                    exponent[_local_invariants(p, k, tuple(
+                        sum(map(mul, psi, w)) % n for w, n in zip(scaled, orders)
+                    ))[0]]
+                    for psi in duals
+                )
+            found[c, intern(span(G, gens))] += 1
+        return tuple(sorted((c, h, m) for (c, h), m in found.items()))
+
+    def level(p: int) -> int:
+        """k with every hom (Z_p)^* -> G factoring through (Z/p^k)^*."""
+        k, rest = 2 if p == 2 else 1, exp
+        while rest % p == 0:
+            rest //= p
+            k += 1
+        return k
+
+    small = bisect_right(primes, exp)
+    local = [types_at(p, level(p)) for p in primes[:small]]
+    classes = array("q", map(math.gcd, map(sub, islice(primes, small, None), repeat(1)), repeat(exp)))
+    tame = {g: types_at(primes[small + classes.index(g)], 1) for g in set(classes)}
+
+    tame_types = {(c, h) for types in tame.values() for c, h, _ in types}
     c_min = min((c for c, _ in tame_types), default=0)
     end = len(primes) if tame_types else small
     prefix: dict[tuple[int, int], array] = {}
-    for c, t in () if histogram else tame_types:
-        mult = [0] * (d + 1)
+    for c, h in () if histogram else tame_types:
+        mult = [0] * (exp + 1)
         for g, types in tame.items():
-            mult[g] = sum(m for c1, t1, m in types if (c1, t1) == (c, t))
-        prefix[c, t] = array("q", accumulate(map(mult.__getitem__, classes), initial=0))
+            mult[g] = sum(m for c1, h1, m in types if (c1, h1) == (c, h))
+        prefix[c, h] = array("q", accumulate(map(mult.__getitem__, classes), initial=0))
 
-    def leaves(j: int, room: int, order: int) -> int:
-        """Atoms of primes from the j-th on that complete order to d and
-        fit in room."""
+    def leaves(j: int, room: int, state: int) -> int:
+        """Homs at primes from the j-th on that join state to G and fit in
+        room."""
         total = 0
-        for (c, t), pre in prefix.items():
-            if math.lcm(order, t) == d:
+        row = join[state]
+        for (c, h), pre in prefix.items():
+            if row[h] == full:
                 hi = bisect_right(primes, integer_root(room, c), j)
                 total += pre[hi - small] - pre[j - small]
         return total
@@ -526,18 +525,19 @@ def _cyclic_count(
     count = 0
     hist: dict[int, int] = {}
 
-    def walk(j: int, key: int, order: int, mult: int) -> None:
-        """key, order and mult of the atoms taken so far, all at primes
+    def walk(j: int, key: int, state: int, mult: int) -> None:
+        """key, state and mult of the homs taken so far, all at primes
         before the j-th."""
         nonlocal count, nodes
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
-        if order == d:
+        if state == full:
             count += mult
             if histogram:
                 hist[key] = hist.get(key, 0) + mult
         room = x_bound // key
+        row = join[state]
         while j < end:
             p = primes[j]
             if j < small:
@@ -546,17 +546,17 @@ def _cyclic_count(
                 if p**c_min > room:
                     break
                 if prefix and (j + 1 == end or (p * primes[j + 1]) ** c_min > room):
-                    count += mult * leaves(j, room, order)
+                    count += mult * leaves(j, room, state)
                     break
                 types = tame[classes[j - small]]
-            for c, t, m in types:
+            for c, h, m in types:
                 f = p**c
                 if f > room:
                     break
-                walk(j + 1, key * f, math.lcm(order, t), mult * m)
+                walk(j + 1, key * f, row[h], mult * m)
             j += 1
 
-    walk(0, 1, 1, 1)
+    walk(0, 1, 0, 1)
     return count, hist
 
 
@@ -569,136 +569,29 @@ def count_surjections(
 ) -> CountReport:
     """Count surjections from the Galois group of Q onto G with invariant <= X.
 
-    Cyclic G = C_d: a surjection is a character of exact order d, and its
-    invariant is disc0(chi) = prod_{1 <= e < d} cond(chi^e) (disc) or the
-    product of its ramified primes (ram).  ``_cyclic_count`` counts them by
-    a walk over integer atom types, with no character objects; the primes
-    it sieves, to integer_root(X, phi(d)) for disc (disc0 >= cond^phi(d))
-    and to X for ram, count against the node budget before the sieve runs.
+    By Kronecker-Weber the Galois group of the maximal abelian extension is
+    the product over p of Z_p^*, so a surjection is a tuple of local homs
+    phi_p : (Z/p^k)^* -> G, almost all trivial, whose images generate G
+    (k = v_p(exp G) + 1, one more at p = 2).  Both invariants multiply one
+    factor p^c per nontrivial phi_p: c = 1 for ram, and for disc, by the
+    conductor-discriminant formula, c = sum over the dual group of
+    v_p(cond(psi o phi_p)).  ``_count`` walks these local types prime by
+    prime, with no character objects.
 
-    Noncyclic G: generator i of the dual group maps to a character chi_i of
-    exact order d_i (injectivity on the i-th cyclic piece demands that).
-    Level i of the walk holds the nonzero dual elements whose last nonzero
-    coordinate is i: the powers chi_i^e, 1 <= e < d_i, and the mixed
-    elements psi * chi_i^e, psi a nonzero product of the earlier images.
-    Injectivity is checked on every mixed element: its image is trivial
-    exactly when its conductor is 1.
-
-    Disc: the conductors of the powers multiply to the pool key disc0(chi).
-    Every nonidentity dual element maps to a nontrivial primitive
-    character, of conductor at least 3, so a tuple with chi_i = chi has
-    discriminant at least disc0(chi) * 3^(|G| - d_i).  The order-d pool
-    therefore holds the keys up to X // 3^(|G| - d), built to conductor
-    integer_root(X // 3^(|G| - d), phi(d)).  The levels after i add at least
-    tail[i + 1]: the product over them of their pool's least key times 3 per
-    mixed element.  Level i keeps the keys up to
-    X // (inv * 3^(mixed_i) * tail[i + 1]), inv the discriminant of the
-    levels before it, and drops an entry once inv * key times its mixed
-    conductors passes X // tail[i + 1].
-
-    Ram: the ramified primes of every dual image lie among those of the
-    generator images, so the invariant is the lcm of the generators'
-    products of ramified primes.  Pools run to conductor 2 d X, keyed by
-    that product, with no tail.
+    The primes it sieves, to X^(1/(|G| - |G|/l)) for disc (l the least
+    prime dividing |G|) and to X for ram, count against the node budget,
+    checked before the sieve runs.  The local types (homs times |G| for
+    disc), each join that builds a subgroup (its order) and each node of
+    the walk count against it too.
     """
     if x_bound < 1:
         raise ValueError("the bound must be at least 1")
     if ordering not in ("disc", "ram"):
         raise ValueError("ordering must be disc or ram")
-    factors = G.invariant_factors
-    if not factors:
+    if not G.invariant_factors:
         return CountReport(G, x_bound, ordering, 1, 1, ((1, 1),) if histogram else None)
-    disc = ordering == "disc"
-    rank = len(factors)
-    if rank == 1:
-        count, hist = _cyclic_count(factors[0], x_bound, disc, histogram, node_budget)
-    else:
-        count, hist = _noncyclic_count(G, x_bound, disc, histogram, node_budget)
+    count, hist = _count(G, x_bound, ordering == "disc", histogram, node_budget)
     aut = aut_order(G)
     assert count % aut == 0, "surjection count must be divisible by |Aut(G)|"
     hist_out = tuple(sorted(hist.items())) if histogram else None
     return CountReport(G, x_bound, ordering, count, count // aut, hist_out)
-
-
-def _noncyclic_count(
-    G: AbelianGroup, x_bound: int, disc: bool, histogram: bool, node_budget: int
-) -> tuple[int, dict[int, int]]:
-    """Surjections onto G of rank >= 2 by the pool walk of ``count_surjections``."""
-    # the sieve bound of a pool and every pool character count as nodes, so
-    # an oversized request stops before or while its pool is built.  A pool
-    # is its keys in increasing order and the powers (chi, chi^2, ...,
-    # chi^(d-1)) beside them.
-    factors = G.invariant_factors
-    rank = len(factors)
-    nodes = 0
-    pools: dict[int, tuple[list[int], list[tuple[DirichletCharacter, ...]]]] = {}
-    for d in sorted(set(factors)):
-        if disc:
-            rest = G.order - d  # 3^rest > X once rest reaches X's bit length
-            key_cap = x_bound // 3**rest if rest < x_bound.bit_length() else 0
-            f_cap = integer_root(key_cap, euler_phi(d))
-        else:
-            # order-d characters ramified within {p : p | ram} have conductor
-            # at most ram * d * 2 (one extra power of p per p | d, two at 2)
-            key_cap, f_cap = x_bound, 2 * d * x_bound
-        chars = characters_up_to(d, f_cap, budget=node_budget - nodes) if f_cap else []
-        nodes += f_cap + len(chars)
-        chars = [chi for chi in chars if chi.order == d]
-        if not disc:
-            keys = [math.prod(p for p, _, _ in chi.components) for chi in chars]
-        elif d == 2:
-            keys = [chi.conductor for chi in chars]
-        else:
-            weights = _disc_weights(d)
-            keys = [math.prod(_power_conductor(chi, g) ** w for g, w in weights) for chi in chars]
-        if not (disc and d <= 3):  # disc0 is cond for d = 2, cond^2 for d = 3
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            keys = [keys[j] for j in order]
-            chars = [chars[j] for j in order]
-        del keys[bisect_right(keys, key_cap):]
-        powers = [(chi, *map(chi.power, range(2, d))) for chi in chars[: len(keys)]]
-        pools[d] = (keys, powers)
-
-    hist: dict[int, int] = {}
-    count = 0
-
-    if all(keys for keys, _ in pools.values()):
-        mixed = [(math.prod(factors[:i]) - 1) * (d - 1) for i, d in enumerate(factors)]
-        tail = [1] * (rank + 1)
-        if disc:
-            for i in reversed(range(rank)):
-                tail[i] = tail[i + 1] * pools[factors[i]][0][0] * 3 ** mixed[i]
-        floors = [3 ** m * t for m, t in zip(mixed, tail[1:])]
-
-        def walk(i: int, inv: int, prefixes: list) -> None:
-            """inv is the invariant of the levels before i; prefixes holds
-            the nonzero products of their images."""
-            nonlocal count, nodes
-            keys, powers_of = pools[factors[i]]
-            if disc:
-                hi = bisect_right(keys, x_bound // (inv * floors[i]))
-                limit = x_bound // tail[i + 1]
-            else:
-                hi, limit = len(keys), None
-            for j in range(hi):
-                nodes += 1
-                if nodes > node_budget:
-                    raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
-                if disc:
-                    new_inv = inv * keys[j]
-                else:
-                    new_inv = math.lcm(inv, keys[j])
-                    if new_inv > x_bound:
-                        continue
-                new_inv = _mixed_invariant(prefixes, powers_of[j], new_inv, limit)
-                if new_inv is None:
-                    continue
-                if i + 1 < rank:
-                    walk(i + 1, new_inv, _extended(prefixes, powers_of[j]))
-                    continue
-                count += 1
-                if histogram:
-                    hist[new_inv] = hist.get(new_inv, 0) + 1
-
-        walk(0, 1, [])
-    return count, hist

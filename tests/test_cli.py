@@ -99,6 +99,11 @@ class TestExitCodes:
         # exits 3 before any prime is sieved
         assert invoke(["count", "C2", "--X", "1000000000"])[0] == 3
 
+    def test_count_with_no_prime_in_the_sieve(self):
+        # a nontrivial local hom into C20011 multiplies disc by p^20010, so no
+        # prime fits under 10^12 and nothing of the group is enumerated
+        assert payload(["count", "C20011", "--X", "1000000000000"])["surjections"] == 0
+
 
 class TestManifest:
     def test_fields_present(self):

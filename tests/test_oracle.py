@@ -293,41 +293,49 @@ def _steps(hist, x):
     return sum(m for n, m in hist.items() if n <= x)
 
 
-class TestCyclicWalk:
-    """The integer walk for G = C_d against the character-by-character
-    definitions; the wild primes 2 and 3 appear in C4, C6, C8, C9, C12 and
-    C16."""
+def _check_walk(factors, X, ordering, reference):
+    """The walk's histogram against reference(G, X), and the count without a
+    histogram, which takes the bisected single-prime leaves, against the
+    steps of that histogram.  N(x) changes only at invariants, so it is
+    checked at each invariant and one below it, and at every two-prime edge
+    (p q)^c (and one below) for consecutive primes p < q, where the walk
+    switches to bisection."""
+    G = make_group(factors)
+    ref = reference(G, X)
+    rep = count_surjections(G, X, ordering, histogram=True)
+    assert dict(rep.histogram) == ref
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    edges = {(p * q) ** c + s for p, q in zip(primes, primes[1:]) for c in range(1, 7) for s in (-1, 0)}
+    xs = sorted({n + s for n in ref for s in (-1, 0)} | {x for x in edges if 1 <= x <= X} | {X})
+    for x in xs:
+        assert count_surjections(G, x, ordering).surjections == _steps(ref, x), x
+    assert count_surjections(G, X, ordering).surjections == sum(ref.values())
 
-    def _check(self, d, X, ordering, reference):
-        G = make_group([d])
-        ref = reference(G, X)
-        rep = count_surjections(G, X, ordering, histogram=True)
-        assert dict(rep.histogram) == ref
-        # the count without a histogram takes the bisected single-prime
-        # leaves.  N(x) changes only at invariants, so it is checked at each
-        # invariant and one below it, and at every two-prime edge
-        # (p q)^c (and one below) for consecutive primes p < q, where the
-        # walk switches to bisection
-        primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
-        edges = {(p * q) ** c + s for p, q in zip(primes, primes[1:]) for c in (1, 2, 3) for s in (-1, 0)}
-        xs = sorted({n + s for n in ref for s in (-1, 0)} | {x for x in edges if 1 <= x <= X} | {X})
-        for x in xs:
-            assert count_surjections(G, x, ordering).surjections == _steps(ref, x), x
-        assert count_surjections(G, X, ordering).surjections == sum(ref.values())
+
+def _walk_histogram(ordering):
+    """The walk's own histogram, which takes no bisected leaves."""
+    def reference(G, X):
+        return dict(count_surjections(G, X, ordering, histogram=True).histogram)
+    return reference
+
+
+class TestCyclicWalk:
+    """The walk for G = C_d against the character-by-character definitions;
+    the wild primes 2 and 3 appear in C4, C6, C8, C9, C12 and C16."""
 
     @pytest.mark.parametrize("d,X", [
         (2, 3000), (3, 10000), (4, 10000), (5, 15000), (6, 20000),
         (8, 2000), (9, 2000), (12, 2000), (16, 2000),
     ])
     def test_disc_matches_definition(self, d, X):
-        self._check(d, X, "disc", _disc_histogram_by_definition)
+        _check_walk([d], X, "disc", _disc_histogram_by_definition)
 
     @pytest.mark.parametrize("d,X", [
         (2, 500), (3, 500), (4, 300), (5, 300), (6, 300),
         (8, 200), (9, 200), (12, 150), (16, 100),
     ])
     def test_ram_matches_definition(self, d, X):
-        self._check(d, X, "ram", _ram_histogram_by_definition)
+        _check_walk([d], X, "ram", _ram_histogram_by_definition)
 
     @pytest.mark.parametrize("d,X,ordering", [
         (2, 10**6, "disc"), (3, 10**9, "disc"), (4, 10**8, "disc"),
@@ -338,6 +346,36 @@ class TestCyclicWalk:
         rep = count_surjections(G, X, ordering, histogram=True)
         assert count_surjections(G, X, ordering).surjections == rep.surjections
         assert sum(m for _, m in rep.histogram) == rep.surjections
+
+
+class TestNoncyclicWalk:
+    """The same walk for G of rank 2 and 3: against the definitions where
+    they are cheap, and its bisected leaves against its own histogram where
+    the groups have many discriminants."""
+
+    GROUPS = [[2, 2], [2, 4], [3, 3], [2, 6], [2, 2, 2]]
+
+    @pytest.mark.parametrize("factors,X", zip(GROUPS, [3000, 2000, 3000, 3000, 1000]))
+    def test_disc_matches_definition(self, factors, X):
+        _check_walk(factors, X, "disc", _disc_histogram_by_definition)
+
+    @pytest.mark.parametrize("factors,X", zip(GROUPS, [60, 30, 60, 20, 12]))
+    def test_ram_matches_definition(self, factors, X):
+        _check_walk(factors, X, "ram", _ram_histogram_by_definition)
+
+    @pytest.mark.parametrize("factors,X", zip(GROUPS, [10**5, 3 * 10**6, 10**13, 10**14, 10**8]))
+    def test_disc_leaves_match_the_histogram(self, factors, X):
+        _check_walk(factors, X, "disc", _walk_histogram("disc"))
+
+    @pytest.mark.parametrize("factors,X", zip(GROUPS, [500, 300, 1000, 300, 200]))
+    def test_ram_leaves_match_the_histogram(self, factors, X):
+        _check_walk(factors, X, "ram", _walk_histogram("ram"))
+
+    def test_ram_of_rank_three_within_the_default_budget(self):
+        rep = count_surjections(make_group([2, 2, 4]), 1000, "ram", histogram=True)
+        assert rep.surjections > 0
+        assert sum(m for _, m in rep.histogram) == rep.surjections
+        assert count_surjections(make_group([2, 2, 4]), 1000, "ram").surjections == rep.surjections
 
 
 class TestCounting:
@@ -405,8 +443,8 @@ class TestCounting:
         ([2, 4], 1_265_625, 1),  # Q(zeta_15): 3^4 * 5^6
     ])
     def test_smallest_discriminant_edge(self, factors, X, fields):
-        # the pool cap X // 3^(|G| - d) and the tail bound sit exactly at
-        # the smallest discriminant; one below it nothing is counted
+        # the walk's room X // key sits exactly at the smallest
+        # discriminant; one below it nothing is counted
         assert count_surjections(make_group(factors), X).fields == fields
 
     def test_trivial_group(self):
@@ -443,15 +481,16 @@ class TestCounting:
         assert time.monotonic() - start < 1
         assert peak < 2**20
 
-    def test_pool_sieve_counts_against_the_budget(self):
+    def test_local_types_count_against_the_budget(self):
+        # C2^3 to 16 sieves only p = 2, whose 64 homs (Z/8)^* -> G are each
+        # read against the 8 dual elements
         with pytest.raises(BudgetExceededError):
-            characters_up_to(2, 10**7, budget=10)
-        assert len(characters_up_to(2, 100, budget=200)) == 61
+            count_surjections(make_group([2, 2, 2]), 16, node_budget=500)
+        assert count_surjections(make_group([2, 2, 2]), 16, node_budget=1000).surjections == 0
 
     def test_cyclic_count_builds_no_pool(self, monkeypatch):
-        # the cyclic walk reads its atom types from the few local atoms at
-        # the small primes and the first prime of each class mod d, never
-        # one character per character counted
+        # the walk reads its local types from the homs into G, never one
+        # character per character counted
         built = Counter()
         post_init = DirichletCharacter.__post_init__
         assembled = oracle._assembled
@@ -466,16 +505,14 @@ class TestCounting:
 
         monkeypatch.setattr(DirichletCharacter, "__post_init__", counted_post_init)
         monkeypatch.setattr(oracle, "_assembled", counted_assembled)
-        count_surjections(make_group([2]), 10)
-        atoms = dict(built)
-        built.clear()
         assert count_surjections(make_group([2]), 10**5).surjections == 60786
-        assert dict(built) == atoms
-        assert sum(atoms.values()) <= 4
+        assert count_surjections(make_group([2, 2]), 10**5).surjections == 1458
+        assert count_surjections(make_group([2, 4]), 10**8).surjections == 48
+        assert not built
 
     def test_leaves_factorize_cache_empty(self):
         # local orders come from the closed form (p - 1) p^(k - 1), so the
-        # pool build does not factor one prime power per atom
+        # local types do not factor one prime power per prime
         factorize.cache_clear()
         count_surjections(make_group([2]), 20000)
         assert factorize.cache_info().currsize < 10
