@@ -6,9 +6,11 @@ group G is a tuple of homomorphisms (Z/p^k)^* -> G, almost all trivial,
 whose images generate G.  Both invariants multiply one factor p^c per
 nontrivial local homomorphism: c = 1 for the product of ramified primes,
 and for the discriminant, by the conductor-discriminant formula, the sum
-over the dual group of the p-adic valuations of the local conductors.  So
-counts walk integer local types prime by prime, keyed by the image
-subgroups they generate, with no field arithmetic and no character objects.
+over the dual group of the p-adic valuations of the local conductors.  The
+images generate G exactly when no maximal subgroup of G holds them all, so
+counts walk integer local types prime by prime, keyed by the bit mask of
+the maximal subgroups that hold their images, with no field arithmetic, no
+subgroup and no character objects.
 
 Dirichlet characters, stored by prime-power local components on coherent
 unit group generators so that multiplication, conductors and primitivity
@@ -24,12 +26,13 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, islice, product, repeat
-from operator import attrgetter, mul, sub
+from operator import and_, attrgetter, mul, sub
 
-from .groups import AbelianGroup, Element, Subgroup, aut_order, make_group, span, trivial_subgroup
+from .groups import AbelianGroup, Element, aut_order, make_group
 from .numerics import (
+    factorize,
     integer_root,
     primes_up_to,
     smallest_prime_factor,
@@ -381,18 +384,6 @@ class CountReport:
         return out
 
 
-class _Joins(dict):
-    """The joins of one state: h -> make(state, h), each made on first use."""
-
-    def __init__(self, make, state: int) -> None:
-        self.make = make
-        self.state = state
-
-    def __missing__(self, h: int) -> int:
-        j = self[h] = self.make(self.state, h)
-        return j
-
-
 def _killed_by(G: AbelianGroup, n: int) -> list[Element]:
     """The elements g of G with n g = 0."""
     return list(product(*(range(0, d, d // math.gcd(n, d)) for d in G.invariant_factors)))
@@ -405,13 +396,14 @@ def _count(
 
     A surjection is a tuple of local homs phi_p : (Z/p^k)^* -> G, almost all
     trivial, whose images generate G, and both invariants are products of
-    one factor p^c per nontrivial phi_p.  So the walk runs over integers:
-    it takes primes in ascending order and local types (c, image,
-    multiplicity), the image an interned subgroup, multiplying keys and
-    multiplicities and joining images by one table, filled as the walk
-    first asks for each entry.  Above exp G every prime is tame and its
-    types depend only on gcd(p - 1, exp G): they are made once per class,
-    from its first prime.
+    one factor p^c per nontrivial phi_p.  The images generate G exactly
+    when no maximal subgroup of G holds them all, so the walk's state is
+    the set of maximal subgroups that still do, a bit mask, and a
+    surjection is a tuple whose state is empty.  The walk runs over
+    integers: it takes primes in ascending order and local types (c, mask,
+    multiplicity), multiplying keys and multiplicities and ANDing masks.
+    Above exp G every prime is tame and its types depend only on
+    gcd(p - 1, exp G): they are made once per class, from its first prime.
 
     Without a histogram, once no two more primes fit (key times
     (p p_next)^c_min passes X), the single-prime leaves are counted by
@@ -429,63 +421,51 @@ def _count(
     if not primes:
         return 0, {}
     duals = G.elements() if disc else ()
-    # subgroups are interned as small ints, the trivial one first; join[s][h]
-    # is the subgroup generated by s and the image h
-    subgroups: list[Subgroup] = []
-    ids: dict[frozenset, int] = {}
-    join: list[_Joins] = []
-    full = None
+    # bit i stands for the maximal subgroup ker psi_i: psi_i has prime order
+    # l, and of the l - 1 generators of <psi_i> it is the one whose first
+    # nonzero coordinate is d / l
+    kernels = [
+        psi
+        for l, _ in factorize(exp)
+        for psi in _killed_by(G, l)
+        if next((x * l == d for x, d in zip(psi, factors) if x), False)
+    ]
 
-    def charge(n: int) -> None:
-        nonlocal nodes
-        nodes += n
-        if nodes > node_budget:
-            raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
-
-    def intern(H: Subgroup) -> int:
-        nonlocal full
-        h = ids.setdefault(H.elements, len(subgroups))
-        if h == len(subgroups):
-            subgroups.append(H)
-            join.append(_Joins(joined, h))
-            if H.order == order:
-                full = h
-        return h
-
-    def joined(state: int, h: int) -> int:
-        A, B = subgroups[state], subgroups[h]
-        if B.elements <= A.elements:
-            return state
-        H = span(G, A.generators + B.generators)
-        charge(H.order)
-        return intern(H)
-
-    intern(trivial_subgroup(G))
+    def held(w: list[int], n: int) -> int:
+        """The bits of the kernels psi that kill an image g of order
+        dividing n, given scaled as w: n psi(g) = sum_i psi_i w_i mod n."""
+        return sum(1 << i for i, psi in enumerate(kernels) if not sum(map(mul, psi, w)) % n)
 
     def types_at(p: int, k: int) -> tuple[tuple[int, int, int], ...]:
-        """(c, image, multiplicity) of the nontrivial homs (Z/p^k)^* -> G,
-        given by the images of the generators of (Z/p^k)^*.  For disc, c
-        sums v_p(cond(psi o phi)) over the dual group."""
+        """(c, mask, multiplicity) of the nontrivial homs (Z/p^k)^* -> G,
+        given by the images of the generators of (Z/p^k)^*; mask holds the
+        bits of the psi_i that kill every image.  For disc, c sums
+        v_p(cond(psi o phi)) over the dual group."""
+        nonlocal nodes
         orders = _local_orders(p, k)
-        images = [_killed_by(G, n) for n in orders]
-        charge(math.prod(map(len, images)) * (len(duals) if disc else 1))
+        # psi o phi sends generator j, of order n_j, to sum_i psi_i g_i n_j / d_i
+        # mod n_j, so each image g is kept scaled to (g_i n_j / d_i)_i
+        images = [
+            [[x * n // d for x, d in zip(g, factors)] for g in _killed_by(G, n)] for n in orders
+        ]
+        nodes += math.prod(map(len, images)) * (len(duals) if disc else len(kernels))
+        if nodes > node_budget:
+            raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
+        masks = [[held(w, n) for w in image] for image, n in zip(images, orders)]
         exponent = {p**e: e for e in range(k + 1)}
         found: Counter = Counter()
-        for hom in product(*images):
-            gens = tuple(g for g in hom if any(g))
-            if not gens:
+        for hom, held_by in zip(product(*images), product(*masks)):
+            if not any(map(any, hom)):
                 continue
             c = 1
             if disc:
-                # psi o phi sends generator j to sum_i psi_i g_i n_j / d_i mod n_j
-                scaled = [[x * n // d for x, d in zip(g, factors)] for g, n in zip(hom, orders)]
                 c = sum(
                     exponent[_local_invariants(p, k, tuple(
-                        sum(map(mul, psi, w)) % n for w, n in zip(scaled, orders)
+                        sum(map(mul, psi, w)) % n for w, n in zip(hom, orders)
                     ))[0]]
                     for psi in duals
                 )
-            found[c, intern(span(G, gens))] += 1
+            found[c, reduce(and_, held_by)] += 1
         return tuple(sorted((c, h, m) for (c, h), m in found.items()))
 
     def level(p: int) -> int:
@@ -512,12 +492,11 @@ def _count(
         prefix[c, h] = array("q", accumulate(map(mult.__getitem__, classes), initial=0))
 
     def leaves(j: int, room: int, state: int) -> int:
-        """Homs at primes from the j-th on that join state to G and fit in
-        room."""
+        """Homs at primes from the j-th on whose mask clears state, so that
+        the tuple is onto, and that fit in room."""
         total = 0
-        row = join[state]
         for (c, h), pre in prefix.items():
-            if row[h] == full:
+            if not state & h:
                 hi = bisect_right(primes, integer_root(room, c), j)
                 total += pre[hi - small] - pre[j - small]
         return total
@@ -532,12 +511,11 @@ def _count(
         nodes += 1
         if nodes > node_budget:
             raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
-        if state == full:
+        if not state:
             count += mult
             if histogram:
                 hist[key] = hist.get(key, 0) + mult
         room = x_bound // key
-        row = join[state]
         while j < end:
             p = primes[j]
             if j < small:
@@ -553,10 +531,10 @@ def _count(
                 f = p**c
                 if f > room:
                     break
-                walk(j + 1, key * f, row[h], mult * m)
+                walk(j + 1, key * f, state & h, mult * m)
             j += 1
 
-    walk(0, 1, 0, 1)
+    walk(0, 1, (1 << len(kernels)) - 1, 1)
     return count, hist
 
 
@@ -576,13 +554,15 @@ def count_surjections(
     factor p^c per nontrivial phi_p: c = 1 for ram, and for disc, by the
     conductor-discriminant formula, c = sum over the dual group of
     v_p(cond(psi o phi_p)).  ``_count`` walks these local types prime by
-    prime, with no character objects.
+    prime, with no character objects; its state is the set of maximal
+    subgroups of G that hold every image so far, and a tuple is onto when
+    that set is empty.
 
     The primes it sieves, to X^(1/(|G| - |G|/l)) for disc (l the least
     prime dividing |G|) and to X for ram, count against the node budget,
     checked before the sieve runs.  The local types (homs times |G| for
-    disc), each join that builds a subgroup (its order) and each node of
-    the walk count against it too.
+    disc, homs times the number of maximal subgroups for ram) and each node
+    of the walk count against it too.
     """
     if x_bound < 1:
         raise ValueError("the bound must be at least 1")

@@ -104,6 +104,10 @@ class TestExitCodes:
         # prime fits under 10^12 and nothing of the group is enumerated
         assert payload(["count", "C20011", "--X", "1000000000000"])["surjections"] == 0
 
+    def test_count_of_a_large_prime_cyclic_group_under_ram(self):
+        # 10,006 nontrivial homs at each of 7 primes, all onto C10007
+        assert payload(["count", "C10007", "--X", "1000000", "--ordering", "ram"])["fields"] == 7
+
 
 class TestManifest:
     def test_fields_present(self):

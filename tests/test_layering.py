@@ -3,6 +3,8 @@
 Every sieve quantity depends on a subgroup only through its element-order
 histogram, so ``series`` and ``invariants`` take histograms from ``groups``
 (``element_orders``, ``sieve_types``) and never build or name a subgroup.
+The oracle decides generation by the maximal subgroups that hold every
+image, one bit each, so it names no subgroup either.
 The series' orbits are the counted ``cyclotomic_orbits``, so it names none
 of the enumerated orbit forms of ``invariants`` either.
 """
@@ -14,7 +16,7 @@ import pytest
 
 import malle_lab
 
-SUBGROUP_NAMES = {"Subgroup", "full_subgroup", "span"}
+SUBGROUP_NAMES = {"Subgroup", "full_subgroup", "trivial_subgroup", "span"}
 ENUMERATED_ORBIT_NAMES = {
     "GaloisActionSpec",
     "WeightFn",
@@ -41,7 +43,7 @@ def _source(module: str) -> str:
     return (Path(malle_lab.__file__).parent / f"{module}.py").read_text()
 
 
-@pytest.mark.parametrize("module", ["series", "invariants"])
+@pytest.mark.parametrize("module", ["series", "invariants", "oracle"])
 def test_no_subgroup_outside_groups(module):
     assert _uses(_source(module), SUBGROUP_NAMES) == []
 
@@ -56,8 +58,11 @@ def test_guard_finds_each_form():
         "from . import groups\n"
         "H = groups.full_subgroup(G)\n"
         "K = groups.span(G, ())\n"
+        "T = groups.trivial_subgroup(G)\n"
     )
-    assert _uses(source, SUBGROUP_NAMES) == ["Subgroup", "full_subgroup", "span"]
+    assert _uses(source, SUBGROUP_NAMES) == [
+        "Subgroup", "full_subgroup", "span", "trivial_subgroup",
+    ]
     source = (
         "from .invariants import GaloisActionSpec, WeightFn, b_d, cyclotomic_orbits\n"
         "from .invariants import nonidentity_orbits as enumerated\n"

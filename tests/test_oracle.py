@@ -8,7 +8,7 @@ import pytest
 
 from malle_lab import oracle
 from malle_lab.groups import make_group
-from malle_lab.numerics import euler_phi, factorize, unit_group_components
+from malle_lab.numerics import euler_phi, factorize, is_prime, unit_group_components
 from malle_lab.oracle import (
     BudgetExceededError,
     DirichletCharacter,
@@ -351,7 +351,9 @@ class TestCyclicWalk:
 class TestNoncyclicWalk:
     """The same walk for G of rank 2 and 3: against the definitions where
     they are cheap, and its bisected leaves against its own histogram where
-    the groups have many discriminants."""
+    the groups have many discriminants.  C2xC8 joins the ram definition and
+    both leaves tests: its Frattini subgroup 2G has order 4, so some
+    nontrivial images lie in every maximal subgroup."""
 
     GROUPS = [[2, 2], [2, 4], [3, 3], [2, 6], [2, 2, 2]]
 
@@ -359,15 +361,17 @@ class TestNoncyclicWalk:
     def test_disc_matches_definition(self, factors, X):
         _check_walk(factors, X, "disc", _disc_histogram_by_definition)
 
-    @pytest.mark.parametrize("factors,X", zip(GROUPS, [60, 30, 60, 20, 12]))
+    @pytest.mark.parametrize("factors,X", [*zip(GROUPS, [60, 30, 60, 20, 12]), ([2, 8], 30)])
     def test_ram_matches_definition(self, factors, X):
         _check_walk(factors, X, "ram", _ram_histogram_by_definition)
 
-    @pytest.mark.parametrize("factors,X", zip(GROUPS, [10**5, 3 * 10**6, 10**13, 10**14, 10**8]))
+    @pytest.mark.parametrize("factors,X", [
+        *zip(GROUPS, [10**5, 3 * 10**6, 10**13, 10**14, 10**8]), ([2, 8], 10**24),
+    ])
     def test_disc_leaves_match_the_histogram(self, factors, X):
         _check_walk(factors, X, "disc", _walk_histogram("disc"))
 
-    @pytest.mark.parametrize("factors,X", zip(GROUPS, [500, 300, 1000, 300, 200]))
+    @pytest.mark.parametrize("factors,X", [*zip(GROUPS, [500, 300, 1000, 300, 200]), ([2, 8], 1000)])
     def test_ram_leaves_match_the_histogram(self, factors, X):
         _check_walk(factors, X, "ram", _walk_histogram("ram"))
 
@@ -376,6 +380,24 @@ class TestNoncyclicWalk:
         assert rep.surjections > 0
         assert sum(m for _, m in rep.histogram) == rep.surjections
         assert count_surjections(make_group([2, 2, 4]), 1000, "ram").surjections == rep.surjections
+
+    def test_first_ram_field_of_rank_five(self):
+        # the quadratic characters unramified outside {2, 3, 5, 7} have rank
+        # 5, and no smaller product of primes reaches rank 5: the one field
+        # is Q(sqrt(-1), sqrt(2), sqrt(3), sqrt(5), sqrt(7))
+        G = make_group([2] * 5)
+        assert count_surjections(G, 209, "ram").fields == 0
+        assert count_surjections(G, 210, "ram").fields == 1
+
+    def test_prime_cyclic_past_its_order_under_ram(self):
+        # C_q has no proper nontrivial subgroup, so every nontrivial hom at p
+        # is onto: there are q - 1 of them when p = q or p = 1 mod q, and no
+        # two such primes fit under 10^6
+        q = 10007
+        primes = [p for p in (q, *range(q + 1, 10**6 + 1, q)) if is_prime(p)]
+        assert len(primes) == 7
+        rep = count_surjections(make_group([q]), 10**6, "ram")
+        assert rep.surjections == (q - 1) * len(primes) == 70042
 
 
 class TestCounting:
