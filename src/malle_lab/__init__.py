@@ -5,12 +5,9 @@ __version__ = "0.1.0"
 from .groups import (
     AbelianGroup,
     GroupTooLargeError,
-    Subgroup,
     aut_order,
     element_order,
-    frattini,
     make_group,
-    moebius_subgroup,
     parse_group_literal,
 )
 from .invariants import (

@@ -114,13 +114,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-def radical(n: int) -> int:
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r
-
-
 def smallest_prime_factor(n: int) -> int:
     if n < 2:
         raise ValueError("no prime factor below 2")

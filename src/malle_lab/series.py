@@ -570,6 +570,7 @@ def sieve_to_surjective(
     if s <= Fraction(1, a):
         raise DivergenceError(f"sieve summands diverge at s = {s} <= 1/a")
     dps = dps or precision_digits()
+    subgroups = sieve_terms(G)  # raises above SIEVE_TERMS_CAP before the prime loop
     types = sieve_types(G)
     with mp.workdps(dps + 10):
         *_, (_, (total,), prods) = _sieve_sums(
@@ -577,8 +578,8 @@ def sieve_to_surjective(
         )
     by_type = {orders: prod for (orders, _), prod in zip(types, prods)}
     terms_out = []
-    for H, mu in sieve_terms(G):
-        orders = element_orders(G, H)
+    for H, mu in subgroups:
+        orders = element_orders(H)
         label = "+".join(str(o) for o, _ in orders)
         terms_out.append((f"H(order={H.order};orders={label})", mu, by_type[orders]))
     return total, tuple(terms_out)

@@ -1,29 +1,24 @@
 """The surjection sieve one subgroup at a time.
 
-The program folds the sieve subgroups into one row per element-order
-histogram (``groups.sieve_types``) and reads the pole orders off the
-histograms.  These per-subgroup versions, which build each subgroup's
-abstract type and run one Euler-product row per subgroup, are the
-reference the tests compare the folded sieve against; ``bbar_d`` counts
-the orbits one by one.
+The program counts the sieve subgroups by type (``groups.sieve_types``) and
+reads the pole orders off the types' histograms.  Here every sieve subgroup
+is built, as the preimage of a subspace of G/Frattini(G), and these
+per-subgroup versions, which build each subgroup's abstract type and run
+one Euler-product row per subgroup, are the reference the tests compare the
+counted sieve against; ``bbar_d`` counts the orbits one by one.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, product
 
 from mpmath import mp
 
-from malle_lab.groups import (
-    AbelianGroup,
-    Subgroup,
-    element_order,
-    element_orders,
-    full_subgroup,
-    make_group,
-    sieve_terms,
-)
+from lattice_bfs import Subgroup, frattini, full_subgroup, histogram, span
+from malle_lab.groups import AbelianGroup, Element, _hall_moebius, element_order, make_group
 from malle_lab.invariants import (
     GaloisActionSpec,
     WeightFn,
@@ -36,6 +31,64 @@ from malle_lab.invariants import (
 from malle_lab.lvalues import dedekind_zeta_residue, dedekind_zeta_value, riemann_zeta_value
 from malle_lab.numerics import factorize
 from malle_lab.series import _euler_products
+
+
+def _subspaces(p: int, n: int):
+    """Every subspace of F_p^n once, as the rows of its reduced row-echelon form."""
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free = [
+                (r, c)
+                for r, pc in enumerate(pivots)
+                for c in range(pc + 1, n)
+                if c not in pivots
+            ]
+            for values in product(range(p), repeat=len(free)):
+                rows = [[int(c == pc) for c in range(n)] for pc in pivots]
+                for (r, c), v in zip(free, values):
+                    rows[r][c] = v
+                yield rows
+
+
+def _lifted_subspaces(G: AbelianGroup, p: int) -> list[tuple[Element, ...]]:
+    """Lifts to G of the subspaces of the p-part of G/Frattini(G).
+
+    That part is F_p^r, one coordinate per invariant factor d_i divisible
+    by p; its i-th basis vector lifts to e_i times the CRT idempotent of
+    Z/d_i that is 1 mod the p-part of d_i and 0 mod the rest.
+    """
+    coords, idempotents = [], []
+    for i, d in enumerate(G.invariant_factors):
+        if d % p:
+            continue
+        q = p ** dict(factorize(d))[p]
+        rest = d // q
+        coords.append(i)
+        idempotents.append(rest * pow(rest, -1, q) % d)
+    out = []
+    for rows in _subspaces(p, len(coords)):
+        lifts = []
+        for row in rows:
+            g = [0] * G.rank
+            for i, c, v in zip(coords, idempotents, row):
+                g[i] = v * c % G.invariant_factors[i]
+            lifts.append(tuple(g))
+        out.append(tuple(lifts))
+    return out
+
+
+@lru_cache(maxsize=None)
+def sieve_subgroups(G: AbelianGroup) -> tuple[tuple[Subgroup, int], ...]:
+    """(H, mu(H, G)) for every subgroup H containing Frattini(G).
+
+    They are the preimages of the subspaces of G/Frattini(G), one span per
+    choice of a subspace for every prime, sorted by (order, element list).
+    """
+    phi = frattini(G).generators
+    per_prime = [_lifted_subspaces(G, p) for p, _ in factorize(G.order)]
+    subs = [span(G, phi + sum(choice, ())) for choice in product(*per_prime)]
+    subs.sort(key=lambda H: (H.order, H.sorted_elements()))
+    return tuple((H, _hall_moebius(G.order // H.order)) for H in subs)
 
 
 def _disc_orbits(G: AbelianGroup):
@@ -100,7 +153,7 @@ def conjectured_pole_order(
     if Fraction(d) not in weight_spectrum(G, GaloisActionSpec.cyclotomic(G), wt):
         raise ValueError(f"{d} is not in the index spectrum of {G}")
     best = 0
-    for H, _ in sieve_terms(G):
+    for H, _ in sieve_subgroups(G):
         if H.order == 1:
             continue
         index = G.order // H.order
@@ -116,11 +169,18 @@ def conjectured_pole_order(
 
 
 def sieve_to_surjective(G: AbelianGroup, s: Fraction, p_max: int, dps: int):
-    """(value, terms) with one Euler-product row per sieve subgroup."""
-    subgroups = sieve_terms(G)
+    """(value, terms) with one Euler-product row per sieve subgroup.
+
+    The subgroups come by (order, abstract type), as ``groups.sieve_terms``
+    lists them.
+    """
+    subgroups = sorted(
+        sieve_subgroups(G),
+        key=lambda t: (t[0].order, subgroup_invariant_factors(t[0]).invariant_factors),
+    )
     terms = []
     with mp.workdps(dps + 10):
-        rows = [(element_orders(G, H), ()) for H, _ in subgroups]
+        rows = [(histogram(H), ()) for H, _ in subgroups]
         *_, (_, _, prods) = _euler_products(G, s, p_max, rows)
         total = mp.mpf(0)
         for (H, mu), prod in zip(subgroups, prods):
@@ -137,7 +197,7 @@ def residue_main_term(G: AbelianGroup, p_max: int, dps: int):
     b = sum(1 for o in orbs if o.weight == a)
     with mp.workdps(dps + 10):
         rows, weights = [], []
-        for H, mu in sieve_terms(G):
+        for H, mu in sieve_subgroups(G):
             orbits_in = [o for o in orbs if o.representative in H.elements]
             if sum(1 for o in orbits_in if o.weight == a) < b:
                 continue
@@ -150,7 +210,7 @@ def residue_main_term(G: AbelianGroup, p_max: int, dps: int):
                         o.element_order, Fraction(int(o.weight), a), dps
                     )
             orbit_entries = tuple((o.element_order, int(o.weight)) for o in orbits_in)
-            rows.append((element_orders(G, H), orbit_entries))
+            rows.append((histogram(H), orbit_entries))
             weights.append((mu, zeta_part))
         return tuple(
             (mark, mp.fsum(mu * z * prod for (mu, z), prod in zip(weights, prods))
@@ -170,15 +230,15 @@ def nonvanishing_limit(G: AbelianGroup, d: int, p_max: int, dps: int):
     elif case == "case_iii":
         two = frozenset(g for g in G.elements() if G.scale(2, g) == G.identity)
         parts = [
-            (tuple(t for t in sieve_terms(G) if two <= t[0].elements), 0, d),
-            (tuple(t for t in sieve_terms(G) if not two <= t[0].elements), a, d),
+            (tuple(t for t in sieve_subgroups(G) if two <= t[0].elements), 0, d),
+            (tuple(t for t in sieve_subgroups(G) if not two <= t[0].elements), a, d),
         ]
     else:
-        parts = [(sieve_terms(G), 0, d)]
+        parts = [(sieve_subgroups(G), 0, d)]
     rows, weights = [], []
     for j, (subgroups, lower, upper) in enumerate(parts):
         corrections = tuple(e for e in entries if lower < e[1] < upper)
-        rows += [(element_orders(G, H), corrections) for H, _ in subgroups]
+        rows += [(histogram(H), corrections) for H, _ in subgroups]
         weights += [(j, mu) for _, mu in subgroups]
     with mp.workdps(dps + 10):
         out = []

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from lattice_bfs import subgroup_lattice
-from malle_lab.groups import full_subgroup, make_group, moebius_subgroup, span
+from lattice_bfs import full_subgroup, moebius_subgroup, span, subgroup_lattice
+from malle_lab.groups import make_group
 from malle_lab.invariants import GaloisActionSpec, WeightFn, a_invariant
 from malle_lab.numerics import primes_up_to, smallest_prime_factor
 from malle_lab.oracle import count_surjections
@@ -213,6 +213,12 @@ def test_criterion_10_moebius_sieve_identity():
         lattice = subgroup_lattice(G)
         mu = {H.elements: moebius_subgroup(H, G) for H in lattice}
         top = full_subgroup(G).elements
+        # mu is Hall's closed form on the subgroups over Frattini(G) and 0
+        # elsewhere; it must satisfy the lattice recursion at every subgroup
+        for H in lattice:
+            total = sum(mu[K.elements] for K in lattice if H.elements <= K.elements)
+            if total != (1 if H.elements == top else 0):
+                ok = False
         for _ in range(100):
             f = {(H.elements, p): rng.uniform(0, 0.5) for H in lattice for p in primes}
             lhs = 0.0
@@ -239,7 +245,7 @@ def test_criterion_10_moebius_sieve_identity():
             rhs = sum(mu[Z.elements] for Z in lattice) + dp.get(top, 0.0)
             if not abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs), abs(rhs)):
                 ok = False
-    _report(10, "poset sieve identity on C_12 and C_2xC_4 (100 random f each)", ok)
+    _report(10, "Moebius recursion and poset sieve identity on C_12 and C_2xC_4 (100 random f each)", ok)
 
 
 def test_criterion_11_tauberian_layer():

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import time
 from contextlib import redirect_stdout
 
 from malle_lab import cli, series, theta
@@ -99,6 +100,15 @@ class TestExitCodes:
         # exits 3 before any prime is sieved
         assert invoke(["count", "C2", "--X", "1000000000"])[0] == 3
 
+    def test_surjective_sieve_past_the_budget(self, capsys):
+        # C2^10 has 229,755,605 sieve subgroups: their number is counted and
+        # checked before any of them is listed or any prime is looped
+        argv = ["series", "x".join(["C2"] * 10), "--s", "1", "--pmax", "10", "--surjective"]
+        start = time.perf_counter()
+        assert invoke(argv)[0] == 3
+        assert time.perf_counter() - start < 1
+        assert "229755605 sieve subgroups" in capsys.readouterr().err
+
     def test_count_with_no_prime_in_the_sieve(self):
         # a nontrivial local hom into C20011 multiplies disc by p^20010, so no
         # prime fits under 10^12 and nothing of the group is enumerated
@@ -124,6 +134,13 @@ class TestManifest:
         manifest = doc.pop("manifest")
         body = json.dumps(doc, sort_keys=True)
         assert manifest["output_sha256"] == hashlib.sha256(body.encode()).hexdigest()
+
+
+class TestInvariants:
+    def test_elementary_2_8_counts_its_sieve(self):
+        # 417,199 sieve subgroups in 9 types; no subgroup is built
+        doc = payload(["invariants", "x".join(["C2"] * 8)])
+        assert doc["conjectured_pole_order"] == {"128": 255}
 
 
 class TestTheta:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -6,24 +7,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import all_abelian_groups
-from lattice_bfs import subgroup_lattice
-from sieve_reference import subgroup_invariant_factors
+from lattice_bfs import (
+    Subgroup,
+    frattini,
+    full_subgroup,
+    histogram,
+    moebius_subgroup,
+    span,
+    subgroup_lattice,
+    trivial_subgroup,
+)
+from sieve_reference import sieve_subgroups, subgroup_invariant_factors
 from malle_lab.groups import (
+    SIEVE_TERMS_CAP,
     AbelianGroup,
     GroupTooLargeError,
-    Subgroup,
+    _sieve_type_counts,
     aut_order,
     element_order,
     element_orders,
-    frattini,
-    full_subgroup,
     make_group,
-    moebius_subgroup,
     parse_group_literal,
     sieve_terms,
     sieve_types,
-    span,
-    trivial_subgroup,
 )
 from malle_lab.numerics import divisors
 
@@ -77,7 +83,7 @@ class TestElements:
     def test_counted_histogram_matches_enumeration(self):
         # G's histogram is counted from its invariant factors
         for G in all_abelian_groups(64, 1):
-            assert element_orders(G) == element_orders(G, full_subgroup(G)), G
+            assert element_orders(G) == histogram(full_subgroup(G)), G
 
 
 class TestSubgroups:
@@ -227,9 +233,28 @@ def _gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+def _reference_types(G):
+    """The reference's (histogram, summed mu) rows, by (order, abstract type)."""
+    types = {}
+    for H, mu in sorted(
+        sieve_subgroups(G),
+        key=lambda t: (t[0].order, subgroup_invariant_factors(t[0]).invariant_factors),
+    ):
+        hist = histogram(H)
+        types[hist] = types.get(hist, 0) + mu
+    return list(types.items())
+
+
+PARITY_GROUPS = all_abelian_groups(64) + [
+    make_group(f) for f in ([2, 2, 2, 4], [2, 4, 8], [3, 3, 9])
+]
+
+
 class TestSieveTerms:
     def test_matches_filtered_bfs(self):
-        # the BFS of C2^6 alone takes about 25 s; it is checked without it below
+        # the reference builds the sieve subgroups from the subspaces of
+        # G/Frattini(G); the BFS of C2^6 alone takes about 25 s, so C2^6 is
+        # checked by its counts below
         for G in all_abelian_groups(64):
             if G == ELEMENTARY_2_6:
                 continue
@@ -239,7 +264,44 @@ class TestSieveTerms:
                 for H in subgroup_lattice(G)
                 if phi <= H.elements
             ]
-            assert [(H.elements, mu) for H, mu in sieve_terms(G)] == expected, G
+            assert [(H.elements, mu) for H, mu in sieve_subgroups(G)] == expected, G
+
+    @pytest.mark.parametrize("G", PARITY_GROUPS, ids=str)
+    def test_counted_terms_match_reference(self, G):
+        # the Hall counts give every subgroup once: the (|H|, histogram, mu)
+        # multisets agree
+        counted = Counter((H.order, element_orders(H), mu) for H, mu in sieve_terms(G))
+        built = Counter((H.order, histogram(H), mu) for H, mu in sieve_subgroups(G))
+        assert counted == built
+
+    def test_elementary_2_counts_closed_form(self):
+        # sum over k of the Gaussian binomials [r choose k]_2
+        expected = [2, 5, 16, 67, 374, 2825, 29212, 417199, 8283458, 229755605]
+        assert SIEVE_TERMS_CAP >= expected[6]  # C2^7 is listed
+        for r, total in enumerate(expected, start=1):
+            G = make_group([2] * r)
+            assert sum(count for _, count, _ in _sieve_type_counts(G)) == total
+            assert total == sum(_gaussian_binomial(r, k, 2) for k in range(r + 1))
+            assert [mu for _, mu in sieve_types(G)] == [
+                (-1) ** k * 2 ** (k * (k - 1) // 2) * _gaussian_binomial(r, k, 2)
+                for k in range(r, -1, -1)
+            ]
+            if total <= SIEVE_TERMS_CAP:
+                assert len(sieve_terms(G)) == total
+            else:
+                with pytest.raises(GroupTooLargeError, match="sieve subgroups"):
+                    sieve_terms(G)
+
+    def test_order_by_size_then_type(self):
+        # order 4 holds two C4 and one C2xC2; the types ascend within an order
+        G = make_group([2, 4])
+        assert [(H.invariant_factors, mu) for H, mu in sieve_terms(G)] == [
+            ((2,), 2),
+            ((2, 2), -1),
+            ((4,), -1),
+            ((4,), -1),
+            ((2, 4), 1),
+        ]
 
     def test_elementary_2_6_counts(self):
         terms = sieve_terms(ELEMENTARY_2_6)
@@ -255,7 +317,7 @@ class TestSieveTerms:
         # every K between H and G contains Frattini(G) once H does, so the
         # defining recursion of mu runs over the sieve subgroups alone
         for G in _moebius_family() + [make_group([2] * 5), ELEMENTARY_2_6]:
-            terms = sieve_terms(G)
+            terms = sieve_subgroups(G)
             for H, _ in terms:
                 total = sum(
                     mu
@@ -267,17 +329,12 @@ class TestSieveTerms:
 
 class TestSieveTypes:
     def test_one_row_per_histogram_with_summed_mu(self):
-        # the types come in the order of their first subgroups in sieve order
-        for G in all_abelian_groups(64):
+        # equal to the reference's rows, in their order
+        for G in PARITY_GROUPS:
             types = sieve_types(G)
             histograms = [orders for orders, _ in types]
             assert len(set(histograms)) == len(histograms), G
-            summed = {}
-            for H, mu in sieve_terms(G):
-                hist = element_orders(G, H)
-                summed[hist] = summed.get(hist, 0) + mu
-            assert histograms == list(summed), G
-            assert dict(types) == summed, G
+            assert list(types) == _reference_types(G), G
 
     def test_elementary_2_6_has_seven_types(self):
         # one type per order 2^k, k = 0..6, among 2,825 sieve subgroups

@@ -5,7 +5,8 @@ import pytest
 
 import sieve_reference
 from conftest import all_abelian_groups
-from malle_lab.groups import element_order, element_orders, frattini, make_group
+from lattice_bfs import frattini
+from malle_lab.groups import element_order, element_orders, make_group
 from malle_lab.invariants import (
     GaloisActionSpec,
     InvarianceViolation,

@@ -1,10 +1,11 @@
-"""Layering guard: the series sees subgroups and orbits only as histograms.
+"""Layering guard: the program builds no subgroup, and the series counts its orbits.
 
-Every sieve quantity depends on a subgroup only through its element-order
-histogram, so ``series`` and ``invariants`` take histograms from ``groups``
-(``element_orders``, ``sieve_types``) and never build or name a subgroup.
-The oracle decides generation by the maximal subgroups that hold every
-image, one bit each, so it names no subgroup either.
+Every sieve quantity depends on a subgroup only through its type, so
+``groups`` counts the sieve types and hands out histograms and types
+(``element_orders``, ``sieve_types``, ``sieve_terms``); the oracle decides
+generation by the maximal subgroups that hold every image, one bit each.
+No module of the package defines, imports or reads a subgroup form; those
+live in the tests (``lattice_bfs``) as the reference.
 The series' orbits are the counted ``cyclotomic_orbits``, so it names none
 of the enumerated orbit forms of ``invariants`` either.
 """
@@ -16,7 +17,14 @@ import pytest
 
 import malle_lab
 
-SUBGROUP_NAMES = {"Subgroup", "full_subgroup", "trivial_subgroup", "span"}
+SUBGROUP_NAMES = {
+    "Subgroup",
+    "full_subgroup",
+    "trivial_subgroup",
+    "span",
+    "frattini",
+    "moebius_subgroup",
+}
 ENUMERATED_ORBIT_NAMES = {
     "GaloisActionSpec",
     "WeightFn",
@@ -29,21 +37,29 @@ ENUMERATED_ORBIT_NAMES = {
 
 
 def _uses(source: str, names: set[str]) -> list[str]:
-    """Names from ``names`` that the source imports or reads as an attribute."""
+    """Names from ``names`` that the source defines, imports or reads."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             found += [a.name for a in node.names if a.name.split(".")[-1] in names]
         elif isinstance(node, ast.Attribute) and node.attr in names:
             found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.append(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in names:
+            found.append(node.name)
     return found
 
 
+PACKAGE = Path(malle_lab.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
 def _source(module: str) -> str:
-    return (Path(malle_lab.__file__).parent / f"{module}.py").read_text()
+    return (PACKAGE / f"{module}.py").read_text()
 
 
-@pytest.mark.parametrize("module", ["series", "invariants", "oracle"])
+@pytest.mark.parametrize("module", MODULES)
 def test_no_subgroup_outside_groups(module):
     assert _uses(_source(module), SUBGROUP_NAMES) == []
 
@@ -59,10 +75,10 @@ def test_guard_finds_each_form():
         "H = groups.full_subgroup(G)\n"
         "K = groups.span(G, ())\n"
         "T = groups.trivial_subgroup(G)\n"
+        "def frattini(G):\n"
+        "    return moebius_subgroup(H, G)\n"
     )
-    assert _uses(source, SUBGROUP_NAMES) == [
-        "Subgroup", "full_subgroup", "span", "trivial_subgroup",
-    ]
+    assert sorted(_uses(source, SUBGROUP_NAMES)) == sorted(SUBGROUP_NAMES)
     source = (
         "from .invariants import GaloisActionSpec, WeightFn, b_d, cyclotomic_orbits\n"
         "from .invariants import nonidentity_orbits as enumerated\n"

@@ -7,17 +7,14 @@ from mpmath import mp
 
 import sieve_reference
 from conftest import all_abelian_groups
-from lattice_bfs import subgroup_lattice
+from lattice_bfs import full_subgroup, histogram, moebius_subgroup, span, subgroup_lattice
 from malle_lab.groups import (
     GroupTooLargeError,
     element_order,
     element_orders,
-    full_subgroup,
     make_group,
-    moebius_subgroup,
     sieve_terms,
     sieve_types,
-    span,
 )
 from malle_lab import series
 from malle_lab.invariants import GaloisActionSpec, WeightFn, b_d, weight_spectrum
@@ -174,10 +171,10 @@ class TestClosedFormAgainstCharacters:
 
     def test_restricted_to_sieve_subgroups(self):
         for G in all_abelian_groups(16):
-            for H, _ in sieve_terms(G):
+            for H, _ in sieve_reference.sieve_subgroups(G):
                 for p, _ in factorize(G.order):
                     expected = _local_terms_by_characters(G, H, p)
-                    terms = restricted_local_factor(G, element_orders(G, H), p).terms
+                    terms = restricted_local_factor(G, histogram(H), p).terms
                     assert terms == expected, (str(G), p)
 
 
@@ -272,7 +269,7 @@ class TestEulerProduct:
             entries = zeta_factorization(G).entries
             a = min(ind for _, ind in entries)
             rows = [
-                (element_orders(G, H), corrections)
+                (element_orders(H), corrections)
                 for H, _ in sieve_terms(G)
                 for corrections in ((), entries)
             ]
@@ -442,7 +439,7 @@ class TestSieve:
         with mp.workdps(30):
             restricted = mp.mpf(1)
             for p in primes_up_to(300):
-                restricted *= restricted_local_factor(G, element_orders(G, c2), p).value(s)
+                restricted *= restricted_local_factor(G, histogram(c2), p).value(s)
             assert abs(value - (full - restricted)) < 1e-18
 
 
@@ -463,7 +460,7 @@ def _reference_coefficients(G, n_max, surjective=False):
                 continue
             terms = tuple(
                 (c, a)
-                for c, a in restricted_local_factor(G, element_orders(G, H), p).terms
+                for c, a in restricted_local_factor(G, histogram(H), p).terms
                 if p**a <= n_max
             )
             if terms:
@@ -484,7 +481,7 @@ def _reference_coefficients(G, n_max, surjective=False):
     if not surjective:
         return coefficients(factor_terms(full_subgroup(G)))
     total = {}
-    for H, mu in sieve_terms(G):
+    for H, mu in sieve_reference.sieve_subgroups(G):
         for n, v in coefficients(factor_terms(H)).items():
             total[n] = total.get(n, 0) + mu * v
     return {n: v for n, v in total.items() if v}
@@ -508,14 +505,14 @@ class TestCoefficients:
         # the kernel uses only the primes up to the min_ind-th root of n_max,
         # wild primes included: no local term has a smaller exponent
         for G in all_abelian_groups(48):
-            for H, _ in sieve_terms(G):
+            for H, _ in sieve_reference.sieve_subgroups(G):
                 orders = [element_order(G, g) for g in H.elements if g != G.identity]
                 if not orders:
                     continue
                 min_ind = min(G.order - G.order // o for o in orders)
                 wild = [p for p, _ in factorize(G.order)]
                 for p in set(wild) | {2, 3, 5, 7, 13, 37, 73}:
-                    terms = restricted_local_factor(G, element_orders(G, H), p).terms
+                    terms = restricted_local_factor(G, histogram(H), p).terms
                     assert all(a >= min_ind for _, a in terms), (str(G), H.order, p)
 
     def test_one_pass_per_element_order_histogram(self, monkeypatch):
