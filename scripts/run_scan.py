@@ -12,7 +12,7 @@ import collections
 import json
 import time
 
-from malle_lab.theta import SubconvexityModel, scan_cyclic
+from malle_lab.theta import SubconvexityModel, scan_cyclic, write_scan_csv
 
 
 def main() -> None:
@@ -30,12 +30,7 @@ def main() -> None:
     report = scan_cyclic(args.max, SubconvexityModel(args.model, 1), jobs=args.jobs)
     elapsed = time.monotonic() - started
 
-    with open(args.out, "w") as handle:
-        handle.write("n,a,d2,theta,flag_i,flag_ii,case\n")
-        for r in report.rows:
-            handle.write(
-                f"{r.n},{r.a},{r.d2},{r.theta},{int(r.flag_i)},{int(r.flag_ii)},{r.case}\n"
-            )
+    write_scan_csv(args.out, report.rows)
 
     by_case = collections.Counter(r.case for r in report.rows if r.flag_ii)
     mod12 = collections.Counter(r.n % 12 for r in report.rows if r.flag_i)

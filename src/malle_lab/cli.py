@@ -33,7 +33,7 @@ from .series import (
     zeta_factorization,
 )
 from .tauberian import SavingExponents, TauberianParams, fit_exponent, saving_exponent
-from .theta import SubconvexityModel, scan_cyclic, theta_best
+from .theta import SubconvexityModel, scan_cyclic, theta_best, write_scan_csv
 
 
 class UsageError(ValueError):
@@ -109,17 +109,9 @@ def _cmd_scan(args, argv, started) -> int:
     jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
     _check_writable(args.out)
     report = scan_cyclic(args.max, model, jobs=jobs)
-    if args.out:
-        _write_csv(
-            args.out,
-            ["n", "a", "d2", "theta", "flag_i", "flag_ii", "case"],
-            (
-                [r.n, r.a, r.d2, str(r.theta), int(r.flag_i), int(r.flag_ii), r.case]
-                for r in report.rows
-            ),
-        )
     payload = report.summary()
     if args.out:
+        write_scan_csv(args.out, report.rows)
         payload["csv"] = args.out
     _emit(payload, started, argv)
     return 0
@@ -276,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "scan-cyclic",
-        help="scan composite n for lower order terms, --max up to 2e5 (2-4 s, 95-99 MiB there)",
+        help="scan composite n for lower order terms, --max up to 2e5 (2-3 s, 80-84 MiB there)",
     )
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--model", default="soehne")

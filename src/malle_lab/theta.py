@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .groups import AbelianGroup, Element, GroupTooLargeError, element_orders
 from .invariants import (
@@ -236,15 +237,24 @@ def theta_ram(G: AbelianGroup, deg_k: int = 1) -> Fraction:
 # -- cyclic scan --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
+    """One composite n of the cyclic scan, with theta = num/den in lowest terms."""
+
     n: int
     a: int
     d2: int
-    theta: Fraction
+    num: int
+    den: int
     flag_i: bool
-    flag_ii: bool
     case: str
+
+    @property
+    def theta(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def flag_ii(self) -> bool:
+        return self.case != "none"
 
 
 @dataclass(frozen=True)
@@ -285,24 +295,29 @@ def _phi_sieve(n: int) -> list[int]:
     return phi
 
 
-def _scan_block(lo: int, hi: int, cn: int, cd: int, phi: list[int]) -> list[tuple]:
-    """(n, a, d2, num, den, flag_i, case) for each composite n in [lo, hi), lo >= 4.
+def _scan_block(lo: int, hi: int, cn: int, cd: int, phi: list[int]) -> list[ScanRow]:
+    """The ScanRow of each composite n in [lo, hi), lo >= 4, with theta in lowest terms.
 
-    Sieves the divisors e <= sqrt(n) of the block's n; their co-divisors n // e
-    in reverse order complete the ascending list.  phi must reach hi - 1; a
-    divisor e is prime iff phi(e) = e - 1, which gives rad(n).
+    Sieves the divisors 1 < e <= sqrt(n) of the block's n; their co-divisors
+    n // e in reverse order, then n, complete the ascending list.  phi must
+    reach hi - 1; a divisor e is prime iff phi(e) = e - 1, which gives rad(n).
     """
-    small = [[1] for _ in range(lo, hi)]
+    small = [[] for _ in range(lo, hi)]
     for e in range(2, math.isqrt(hi - 1) + 1):
         for i in range(max(e * e, -(-lo // e) * e) - lo, hi - lo, e):
             small[i].append(e)
     rows = []
+    append = rows.append
     for n, low in zip(range(lo, hi), small):
-        if len(low) == 1:  # n is prime
+        if not low:  # n is prime
             continue
-        divs = low[1:] + [n // e for e in reversed(low) if e * e != n]
+        divs = low + [n // e for e in reversed(low) if e * e != n]
+        divs.append(n)
         a, d2 = n - n // divs[0], n - n // divs[1]
         _, num, den = _theta_min(a, ((n - n // e, cn * phi[e]) for e in divs), cd)
+        g = math.gcd(num, den)
+        num //= g
+        den //= g
         flag_i = num * d2 < den
         case = "none"
         if flag_i:  # otherwise no larger index has theta < 1/d either
@@ -314,7 +329,7 @@ def _scan_block(lo: int, hi: int, cn: int, cd: int, phi: list[int]) -> list[tupl
                 case = classify_case(n, d, divs, m, True)
                 if case != "none":
                     break
-        rows.append((n, a, d2, num, den, flag_i, case))
+        append(ScanRow(n, a, d2, num, den, flag_i, case))
     return rows
 
 
@@ -326,17 +341,8 @@ def _share_phi(phi: list[int]) -> None:
     _worker_phi = phi
 
 
-def _scan_block_packed(args: tuple) -> list[tuple]:
+def _scan_block_packed(args: tuple) -> list[ScanRow]:
     return _scan_block(*args, _worker_phi)
-
-
-def _scan_rows(parts) -> tuple[ScanRow, ...]:
-    """The ScanRows of the blocks' tuples, each block consumed as it arrives."""
-    return tuple(
-        ScanRow(n, a, d2, Fraction(num, den), flag_i, case != "none", case)
-        for part in parts
-        for n, a, d2, num, den, flag_i, case in part
-    )
 
 
 def scan_cyclic(
@@ -351,8 +357,9 @@ def scan_cyclic(
     additionally demands an index d > a with theta < 1/d, a proved
     non-vanishing case, and bbar_d >= 1 (automatic with the default
     zeta-order hook since every index of a cyclic group has b_d = 1).
-    The n run in blocks of at most SCAN_BLOCK, serially or on `jobs`
-    worker processes; n_max above SCAN_CAP raises GroupTooLargeError.
+    The n run in blocks of at most SCAN_BLOCK on min(jobs, blocks) worker
+    processes, or serially when that is 1; n_max above SCAN_CAP raises
+    GroupTooLargeError.
     """
     if n_max < 4:
         raise ValueError("scan needs n_max >= 4")
@@ -366,16 +373,31 @@ def scan_cyclic(
     phi = _phi_sieve(n_max)
     step = max(256, min(SCAN_BLOCK, (n_max - 4) // (4 * jobs) + 1))
     blocks = [(lo, min(lo + step, n_max), cn, cd) for lo in range(4, n_max, step)]
-    if jobs > 1:
+    workers = min(jobs, len(blocks))
+    rows: list[ScanRow] = []
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(jobs, _share_phi, (phi,)) as pool:
-            rows = _scan_rows(pool.imap(_scan_block_packed, blocks))
+        with multiprocessing.get_context("fork").Pool(workers, _share_phi, (phi,)) as pool:
+            for part in pool.imap(_scan_block_packed, blocks):
+                rows += part
     else:
-        rows = _scan_rows(_scan_block(*block, phi) for block in blocks)
-    count_i = sum(1 for r in rows if r.flag_i)
-    count_ii = sum(1 for r in rows if r.flag_ii)
-    return ScanReport(n_max, model.kind, len(rows), count_i, count_ii, rows)
+        for block in blocks:
+            rows += _scan_block(*block, phi)
+    count_i = sum(r.flag_i for r in rows)
+    count_ii = sum(r.flag_ii for r in rows)
+    return ScanReport(n_max, model.kind, len(rows), count_i, count_ii, tuple(rows))
+
+
+def write_scan_csv(path: str, rows) -> None:
+    """Write the scan rows to ``path`` as csv.writer would: a header, then one
+    comma-separated line per row with theta as num/den, each line ended by CR LF."""
+    with open(path, "w", newline="") as handle:
+        handle.write("n,a,d2,theta,flag_i,flag_ii,case\r\n")
+        handle.writelines(
+            f"{n},{a},{d2},{num}/{den},{flag_i:d},{case != 'none':d},{case}\r\n"
+            for n, a, d2, num, den, flag_i, case in rows
+        )
 
 
 # -- dual Selmer size ----------------------------------------------------------

@@ -90,5 +90,6 @@ def scan_rows(n_max: int, model: SubconvexityModel) -> list[ScanRow]:
                 case = classify_case(n, d, divs, n // rad, True)
                 if case != "none":
                     break
-        rows.append(ScanRow(n, a, d2, Fraction(num, den), flag_i, case != "none", case))
+        theta = Fraction(num, den)
+        rows.append(ScanRow(n, a, d2, theta.numerator, theta.denominator, flag_i, case))
     return rows

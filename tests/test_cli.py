@@ -5,6 +5,10 @@ import os
 import time
 from contextlib import redirect_stdout
 
+import pytest
+
+import scan_reference
+
 from malle_lab import cli, series, theta
 from malle_lab.cli import run
 from malle_lab.oracle import BudgetExceededError
@@ -178,6 +182,18 @@ class TestScan:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 152
         assert rows[0]["n"] == "4" and rows[0]["theta"] == "5/16"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_csv_bytes_match_reference(self, tmp_path, jobs):
+        # the reference rows through csv.writer and str(Fraction) pin the format
+        out = tmp_path / "scan.csv"
+        payload(["scan-cyclic", "--max", "3000", "--out", str(out), "--jobs", jobs])
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["n", "a", "d2", "theta", "flag_i", "flag_ii", "case"])
+        for r in scan_reference.scan_rows(3000, theta.SubconvexityModel.soehne()):
+            writer.writerow([r.n, r.a, r.d2, str(r.theta), int(r.flag_i), int(r.flag_ii), r.case])
+        assert out.read_bytes() == expected.getvalue().encode()
 
     def test_jobs_below_one_is_usage_error(self):
         # --jobs -2 ran serially

@@ -1,4 +1,5 @@
 import functools
+import math
 import multiprocessing
 import pickle
 import random
@@ -344,6 +345,19 @@ class TestScan:
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: InlineContext)
         assert scan_cyclic(20000, jobs=2).rows == scan_cyclic(20000, jobs=1).rows
         assert len(sizes) > 1 and max(sizes) < 1024
+
+    def test_one_block_forks_no_pool(self, monkeypatch):
+        # n_max = 200 is one block, so four jobs run it serially
+        def no_pool(method):
+            raise AssertionError("a pool was opened for a single block")
+
+        serial = scan_cyclic(200, jobs=1).rows
+        monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+        assert scan_cyclic(200, jobs=4).rows == serial
+
+    def test_theta_in_lowest_terms(self):
+        for r in scan_cyclic(3000).rows:
+            assert math.gcd(r.num, r.den) == 1 and r.den > 1, r
 
     def test_parallel_matches_serial(self):
         serial = scan_cyclic(1500, jobs=1)
