@@ -26,9 +26,7 @@ from .oracle import (
     CountReport,
     DirichletCharacter,
     characters_up_to,
-    conductor,
     count_surjections,
-    unit_group_structure,
 )
 from .series import (
     EulerProductState,

@@ -9,10 +9,10 @@ exponents and log-powers of the counting asymptotics and the case analysis
 for when lower order terms provably survive the surjection sieve; the cases
 need only the element orders, so they are found without enumerating G.
 
-Under the plain cyclotomic action the orbits are counted, not enumerated:
-``cyclotomic_orbits`` reads them off an element-order histogram (of G or of
-a sieve row) for ``invariant_summary``, the series and ``bbar_d``.  ``orbits``
-enumerates, for ``units=`` actions, automorphism twists and custom weights.
+Under unit actions, the plain one or ``units=``, the orbits are counted, not
+enumerated: ``cyclotomic_orbits`` reads them off an element-order histogram
+(of G or of a sieve row) for ``invariant_summary``, the series and ``bbar_d``.
+``orbits`` enumerates, for automorphism twists and element-keyed tables.
 """
 
 from __future__ import annotations
@@ -242,18 +242,32 @@ def default_zeta_order_hook(m: int, x: Fraction) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_orbits(G: AbelianGroup, orders: Histogram) -> tuple[tuple[int, int], ...]:
-    """(order e, index n - n/e in G) once per cyclotomic orbit of the nonidentity
-    elements counted by the histogram ``orders`` (of G or of a subgroup).
+def _orbit_size(e: int, units: tuple[int, ...] | None) -> int:
+    """|U mod e| for U the group the units generate; phi(e) for every unit."""
+    if units is None:
+        return euler_phi(e)
+    seen = frontier = {1 % e}
+    while frontier:
+        frontier = {x * u % e for x in frontier for u in units} - seen
+        seen |= frontier
+    return len(seen)
 
-    The units act transitively on the generators of each cyclic subgroup,
-    so the k_e elements of order e form k_e / phi(e) orbits; they come by
-    ascending order, which is ascending index.
+
+@lru_cache(maxsize=None)
+def cyclotomic_orbits(
+    G: AbelianGroup, orders: Histogram, units: tuple[int, ...] | None = None
+) -> tuple[tuple[int, int], ...]:
+    """(order e, index n - n/e in G) once per orbit of the nonidentity
+    elements counted by the histogram ``orders`` (of G or of a subgroup),
+    under t -> t^u for u in the group U the units generate (every unit if None).
+
+    u fixes an element of order e only when u = 1 mod e, so the k_e elements
+    of order e form k_e / |U mod e| orbits; they come by ascending order,
+    which is ascending index.
     """
     n = G.order
     return tuple(
-        (e, n - n // e) for e, k in orders if e > 1 for _ in range(k // euler_phi(e))
+        (e, n - n // e) for e, k in orders if e > 1 for _ in range(k // _orbit_size(e, units))
     )
 
 
@@ -268,7 +282,7 @@ def _type_bbar(G: AbelianGroup, d: int, zeta_ord_hook: ZetaOrderHook, orders: Hi
     n = G.order
     if d not in {n - n // e for e in divisors(G.exponent) if e > 1}:
         raise ValueError(f"{d} is not in the index spectrum of {G}")
-    counts = Counter(cyclotomic_orbits(G, orders))
+    counts = Counter(cyclotomic_orbits(G, orders, None))
     bbar = sum(k for (_, ind), k in counts.items() if ind == d)
     if not bbar:
         return 0
@@ -356,13 +370,11 @@ def invariant_summary(
     """All invariants of one group in a JSON-friendly dict (CLI backend)."""
     if G.order <= 1:
         raise ValueError("invariants are undefined for the trivial group")
-    if units is None:
-        entries = cyclotomic_orbits(G, element_orders(G))
-        counts = Counter(ind if ordering == "disc" else 1 for _, ind in entries)
-    else:
-        wt = WeightFn.disc() if ordering == "disc" else WeightFn.ram()
-        action = GaloisActionSpec.from_units(G, units)
-        counts = Counter(o.weight for o in nonidentity_orbits(G, action, wt))
+    for u in units or ():
+        if math.gcd(u, G.exponent) != 1:
+            raise ValueError(f"{u % G.exponent} is not a unit mod {G.exponent}")
+    entries = cyclotomic_orbits(G, element_orders(G), None if units is None else tuple(units))
+    counts = Counter(ind if ordering == "disc" else 1 for _, ind in entries)
     spectrum = sorted(counts)
     summary = {
         "group": str(G),

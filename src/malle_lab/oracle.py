@@ -5,17 +5,16 @@ is the product over p of Z_p^*, so a continuous surjection onto an abelian
 group G is a tuple of homomorphisms (Z/p^k)^* -> G, almost all trivial,
 whose images generate G.  Both invariants multiply one factor p^c per
 nontrivial local homomorphism: c = 1 for the product of ramified primes,
-and for the discriminant, by the conductor-discriminant formula, the sum
-over the dual group of the p-adic valuations of the local conductors.  The
-images generate G exactly when no maximal subgroup of G holds them all, so
-counts walk integer local types prime by prime, keyed by the bit mask of
-the maximal subgroups that hold their images, with no field arithmetic, no
-subgroup and no character objects.
+and for the discriminant a sum over the unit filtration U^j of
+|G| - |G|/|phi(U^j)| (``_disc_exponent``).  The images generate G exactly
+when no maximal subgroup of G holds them all, so counts walk integer local
+types prime by prime, keyed by the bit mask of the maximal subgroups that
+hold their images, with no field arithmetic, no subgroup, no character
+objects and no list of the elements of G.
 
 Dirichlet characters, stored by prime-power local components on coherent
 unit group generators so that multiplication, conductors and primitivity
-are componentwise, serve the L-values; the local types read the conductor
-of one such component (``_local_invariants``).
+are componentwise, serve the L-values (``_local_invariants``).
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, islice, product, repeat
 from operator import and_, attrgetter, mul, sub
 
-from .groups import AbelianGroup, Element, aut_order, make_group
+from .groups import AbelianGroup, Element, aut_order
 from .numerics import (
     factorize,
     integer_root,
@@ -44,25 +43,6 @@ DEFAULT_NODE_BUDGET = 50_000_000
 
 class BudgetExceededError(RuntimeError):
     """Enumeration grew past the configured node budget."""
-
-
-@dataclass(frozen=True)
-class UnitGroupStructure:
-    """(Z/q)^* with explicit generator residues for its cyclic components."""
-
-    modulus: int
-    generator_residues: tuple[int, ...]
-    generator_orders: tuple[int, ...]
-    group: AbelianGroup
-
-
-def unit_group_structure(q: int) -> UnitGroupStructure:
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    comps = unit_group_components(q)
-    residues = tuple(residue for _, _, residue, _ in comps)
-    orders = tuple(order for _, _, _, order in comps)
-    return UnitGroupStructure(q, residues, orders, make_group(list(orders)))
 
 
 # A local component at p is (p, k, exps): exponents of the character on the
@@ -275,11 +255,6 @@ def _shrink(p: int, k_from: int, exps: tuple[int, ...], k_to: int) -> tuple[int,
 TRIVIAL_CHARACTER = DirichletCharacter(())
 
 
-def conductor(chi: DirichletCharacter) -> int:
-    """Primitive conductor: the smallest modulus the character lives on."""
-    return chi.conductor
-
-
 def _local_primitive_atoms(p: int, k: int, e: int) -> tuple[DirichletCharacter, ...]:
     """Primitive characters mod p^k of order dividing e."""
     out: list[DirichletCharacter] = []
@@ -389,6 +364,30 @@ def _killed_by(G: AbelianGroup, n: int) -> list[Element]:
     return list(product(*(range(0, d, d // math.gcd(n, d)) for d in G.invariant_factors)))
 
 
+def _disc_exponent(p: int, k: int, size: int, hom: tuple[list[int], ...]) -> int:
+    """v_p(disc) of phi : (Z/p^k)^* -> G, |G| = size; the image of a generator
+    of order n is scaled to w = (g_i n / d_i)_i, of order n / gcd(n, w).
+
+    The psi in the dual group with v_p(cond(psi o phi)) > j are those not
+    trivial on phi(U^j), so the conductor-discriminant sum is the sum over
+    j < k of |G| - |G|/|phi(U^j)| (Serre, Local Fields, ch. IV, VI), where
+    U^j = <g^((p - 1) p^(j - 1))> for odd p and j > 0, U^0 = U^1 = <-1, 5>
+    at 2 and U^j = <5^(2^(j - 2))> there for j > 1.
+    """
+    n, w = _local_orders(p, k)[-1], hom[-1]
+    o = n // math.gcd(n, *w)  # the order of phi(g), of phi(5), or of phi(-1) when k = 2
+    if p != 2:
+        sizes = [o] + [o // math.gcd(o, (p - 1) * p ** (j - 1)) for j in range(1, k)]
+    else:
+        # <phi(-1), phi(5)> = <phi(5)> when phi(-1) is 0 or (o/2) phi(5): x n = o y mod 2n
+        a = hom[0]
+        inside = k == 2 or not any(a) or (
+            o % 2 == 0 and all((x * n - o * y) % (2 * n) == 0 for x, y in zip(a, w))
+        )
+        sizes = [o << (not inside)] * 2 + [o // math.gcd(o, 2 ** (j - 2)) for j in range(2, k)]
+    return sum(size - size // s for s in sizes)
+
+
 def _count(
     G: AbelianGroup, x_bound: int, disc: bool, histogram: bool, node_budget: int
 ) -> tuple[int, dict[int, int]]:
@@ -409,10 +408,9 @@ def _count(
     (p p_next)^c_min passes X), the single-prime leaves are counted by
     bisection with prefix sums, per tame type, of its multiplicity.
     """
-    # a nontrivial phi_p multiplies disc by p once per dual element that is
-    # nontrivial on its image, at least |G| - |G|/l of them for l the least
-    # prime dividing |G|; the primes to the sieve bound count as nodes,
-    # checked before the sieve
+    # a nontrivial phi_p multiplies disc by p^c with c >= |G| - |G|/l, for
+    # l the least prime dividing |G|; the primes to the sieve bound count
+    # as nodes, checked before the sieve
     order, exp, factors = G.order, G.exponent, G.invariant_factors
     nodes = integer_root(x_bound, order - order // smallest_prime_factor(order)) if disc else x_bound
     if nodes > node_budget:
@@ -420,13 +418,29 @@ def _count(
     primes = primes_up_to(nodes)
     if not primes:
         return 0, {}
-    duals = G.elements() if disc else ()
+    small = bisect_right(primes, exp)
+    classes = array("q", map(math.gcd, map(sub, islice(primes, small, None), repeat(1)), repeat(exp)))
+    tame_at = {g: primes[small + classes.index(g)] for g in set(classes)}
+    # every hom (Z_p)^* -> G factors through (Z/p^k)^*, k = v_p(exp G) + 1, one more at 2
+    ells = dict(factorize(exp))
+    builds = [(p, ells.get(p, 0) + 1 + (p == 2)) for p in primes[:small]]
+    builds += [(p, 1) for p in tame_at.values()]
+    # charged before G is listed: the (l^r - 1)/(l - 1) maximal subgroups of
+    # index l, r the number of d_i divisible by l, and each build's homs, with
+    # prod_i gcd(n, d_i) images per generator of order n, read against them
+    kernel_count = sum((l ** sum(d % l == 0 for d in factors) - 1) // (l - 1) for l in ells)
+    homs = sum(
+        math.prod(math.gcd(n, d) for n in _local_orders(p, k) for d in factors) for p, k in builds
+    )
+    nodes += kernel_count * (1 + homs)
+    if nodes > node_budget:
+        raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
     # bit i stands for the maximal subgroup ker psi_i: psi_i has prime order
     # l, and of the l - 1 generators of <psi_i> it is the one whose first
     # nonzero coordinate is d / l
     kernels = [
         psi
-        for l, _ in factorize(exp)
+        for l in ells
         for psi in _killed_by(G, l)
         if next((x * l == d for x, d in zip(psi, factors) if x), False)
     ]
@@ -439,47 +453,23 @@ def _count(
     def types_at(p: int, k: int) -> tuple[tuple[int, int, int], ...]:
         """(c, mask, multiplicity) of the nontrivial homs (Z/p^k)^* -> G,
         given by the images of the generators of (Z/p^k)^*; mask holds the
-        bits of the psi_i that kill every image.  For disc, c sums
-        v_p(cond(psi o phi)) over the dual group."""
-        nonlocal nodes
+        bits of the psi_i that kill every image, and for disc c is
+        ``_disc_exponent``."""
         orders = _local_orders(p, k)
         # psi o phi sends generator j, of order n_j, to sum_i psi_i g_i n_j / d_i
         # mod n_j, so each image g is kept scaled to (g_i n_j / d_i)_i
         images = [
             [[x * n // d for x, d in zip(g, factors)] for g in _killed_by(G, n)] for n in orders
         ]
-        nodes += math.prod(map(len, images)) * (len(duals) if disc else len(kernels))
-        if nodes > node_budget:
-            raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
         masks = [[held(w, n) for w in image] for image, n in zip(images, orders)]
-        exponent = {p**e: e for e in range(k + 1)}
         found: Counter = Counter()
         for hom, held_by in zip(product(*images), product(*masks)):
-            if not any(map(any, hom)):
-                continue
-            c = 1
-            if disc:
-                c = sum(
-                    exponent[_local_invariants(p, k, tuple(
-                        sum(map(mul, psi, w)) % n for w, n in zip(hom, orders)
-                    ))[0]]
-                    for psi in duals
-                )
-            found[c, reduce(and_, held_by)] += 1
+            if any(map(any, hom)):
+                found[_disc_exponent(p, k, order, hom) if disc else 1, reduce(and_, held_by)] += 1
         return tuple(sorted((c, h, m) for (c, h), m in found.items()))
 
-    def level(p: int) -> int:
-        """k with every hom (Z_p)^* -> G factoring through (Z/p^k)^*."""
-        k, rest = 2 if p == 2 else 1, exp
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        return k
-
-    small = bisect_right(primes, exp)
-    local = [types_at(p, level(p)) for p in primes[:small]]
-    classes = array("q", map(math.gcd, map(sub, islice(primes, small, None), repeat(1)), repeat(exp)))
-    tame = {g: types_at(primes[small + classes.index(g)], 1) for g in set(classes)}
+    local = [types_at(p, k) for p, k in builds[:small]]
+    tame = {g: types_at(p, 1) for g, p in tame_at.items()}
 
     tame_types = {(c, h) for types in tame.values() for c, h, _ in types}
     c_min = min((c for c, _ in tame_types), default=0)
@@ -553,16 +543,16 @@ def count_surjections(
     (k = v_p(exp G) + 1, one more at p = 2).  Both invariants multiply one
     factor p^c per nontrivial phi_p: c = 1 for ram, and for disc, by the
     conductor-discriminant formula, c = sum over the dual group of
-    v_p(cond(psi o phi_p)).  ``_count`` walks these local types prime by
-    prime, with no character objects; its state is the set of maximal
-    subgroups of G that hold every image so far, and a tuple is onto when
-    that set is empty.
+    v_p(cond(psi o phi_p)) (``_disc_exponent``).  ``_count`` walks these
+    local types prime by prime, with no character objects and no list of G;
+    its state is the set of maximal subgroups of G that hold every image so
+    far, and a tuple is onto when that set is empty.
 
     The primes it sieves, to X^(1/(|G| - |G|/l)) for disc (l the least
     prime dividing |G|) and to X for ram, count against the node budget,
-    checked before the sieve runs.  The local types (homs times |G| for
-    disc, homs times the number of maximal subgroups for ram) and each node
-    of the walk count against it too.
+    checked before the sieve runs.  Then, before G is listed, the maximal
+    subgroups and each build of local types (homs times maximal subgroups,
+    for a prime up to exp G or a tame class) and each walk node count too.
     """
     if x_bound < 1:
         raise ValueError("the bound must be at least 1")

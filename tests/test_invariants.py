@@ -321,6 +321,27 @@ class TestSummary:
                 assert out["spectrum"] == [str(d) for d in spectrum], (G, ordering)
                 assert out["b"] == {str(d): b_d(G, action, wt, d) for d in spectrum}, (G, ordering)
 
+    @pytest.mark.parametrize("units", [[], [1], [-1], [5], [7], [-1, 5], [11, 13]])
+    def test_counted_unit_orbits_match_enumerated_orbits(self, units):
+        # under t -> t^u the k_e elements of order e form k_e / |U mod e|
+        # orbits; the reference walks every element through the action
+        for G in all_abelian_groups(64):
+            if any(math.gcd(u, G.exponent) != 1 for u in units):
+                continue
+            action = GaloisActionSpec.from_units(G, units)
+            for ordering, wt in (("disc", DISC), ("ram", WeightFn.ram())):
+                weights = [o.weight for o in nonidentity_orbits(G, action, wt)]
+                out = invariant_summary(G, ordering, units)
+                assert out["spectrum"] == [str(d) for d in sorted(set(weights))], (G, units)
+                assert out["b"] == {str(d): weights.count(d) for d in set(weights)}, (G, units)
+                assert out["a"] == str(min(weights))
+
+    def test_units_must_be_units_mod_the_exponent(self):
+        with pytest.raises(ValueError, match="3 is not a unit mod 6"):
+            invariant_summary(make_group([2, 6]), "disc", [5, 9])
+        with pytest.raises(ValueError, match="0 is not a unit mod 2"):
+            invariant_summary(make_group([2, 2]), "ram", [2])
+
     def test_cli_payload_shape(self):
         out = invariant_summary(make_group([4]))
         assert out["a"] == "2"

@@ -1,4 +1,5 @@
-"""Layering guard: the program builds no subgroup, and the series counts its orbits.
+"""Layering guard: the program builds no subgroup, lists G only where it must,
+and the series counts its orbits.
 
 Every sieve quantity depends on a subgroup only through its type, so
 ``groups`` counts the sieve types and hands out histograms and types
@@ -6,9 +7,12 @@ Every sieve quantity depends on a subgroup only through its type, so
 generation by the maximal subgroups that hold every image, one bit each.
 No module of the package defines, imports or reads a subgroup form; those
 live in the tests (``lattice_bfs``) as the reference.
+The oracle reads its disc exponents from element orders, and unit actions
+count their orbits, so only ``groups``, which holds the listing, and
+``invariants``, whose automorphism twists and element-keyed tables need it,
+list the elements of G.
 The series' orbits are the counted ``cyclotomic_orbits``, so it names none
-of the enumerated orbit forms of ``invariants`` either.
-"""
+of the enumerated orbit forms of ``invariants`` either."""
 
 import ast
 from pathlib import Path
@@ -25,6 +29,8 @@ SUBGROUP_NAMES = {
     "frattini",
     "moebius_subgroup",
 }
+ELEMENT_LISTING_NAMES = {"elements", "_elements"}
+LISTING_MODULES = {"groups", "invariants"}
 ENUMERATED_ORBIT_NAMES = {
     "GaloisActionSpec",
     "WeightFn",
@@ -64,6 +70,11 @@ def test_no_subgroup_outside_groups(module):
     assert _uses(_source(module), SUBGROUP_NAMES) == []
 
 
+@pytest.mark.parametrize("module", sorted(set(MODULES) - LISTING_MODULES))
+def test_no_element_listing_outside_groups_and_invariants(module):
+    assert _uses(_source(module), ELEMENT_LISTING_NAMES) == []
+
+
 def test_series_counts_its_orbits():
     assert _uses(_source("series"), ENUMERATED_ORBIT_NAMES) == []
 
@@ -79,6 +90,11 @@ def test_guard_finds_each_form():
         "    return moebius_subgroup(H, G)\n"
     )
     assert sorted(_uses(source, SUBGROUP_NAMES)) == sorted(SUBGROUP_NAMES)
+    source = (
+        "from .groups import _elements\n"
+        "duals = G.elements()\n"
+    )
+    assert sorted(_uses(source, ELEMENT_LISTING_NAMES)) == sorted(ELEMENT_LISTING_NAMES)
     source = (
         "from .invariants import GaloisActionSpec, WeightFn, b_d, cyclotomic_orbits\n"
         "from .invariants import nonidentity_orbits as enumerated\n"

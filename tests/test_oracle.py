@@ -6,32 +6,32 @@ from itertools import product
 
 import pytest
 
-from malle_lab import oracle
+from dual_sum_reference import dual_sum_exponent, local_homs
+from malle_lab import groups, oracle
 from malle_lab.groups import make_group
+from malle_lab.invariants import invariant_summary
 from malle_lab.numerics import euler_phi, factorize, is_prime, unit_group_components
 from malle_lab.oracle import (
     BudgetExceededError,
     DirichletCharacter,
     characters_up_to,
-    conductor,
     count_surjections,
-    unit_group_structure,
 )
 
 
 class TestUnitGroups:
     def test_mod_8(self):
-        ug = unit_group_structure(8)
-        assert ug.group.invariant_factors == (2, 2)
-        assert set(ug.generator_residues) == {7, 5}
+        comps = unit_group_components(8)
+        assert make_group([order for *_, order in comps]).invariant_factors == (2, 2)
+        assert {residue for _, _, residue, _ in comps} == {7, 5}
 
     def test_mod_9(self):
-        ug = unit_group_structure(9)
-        assert ug.group.invariant_factors == (6,)
-        assert ug.generator_residues == (2,)
+        comps = unit_group_components(9)
+        assert make_group([order for *_, order in comps]).invariant_factors == (6,)
+        assert tuple(residue for _, _, residue, _ in comps) == (2,)
 
     def test_mod_1(self):
-        assert unit_group_structure(1).group.order == 1
+        assert unit_group_components(1) == ()
 
     def test_generators_generate(self):
         for q in (3, 4, 5, 8, 9, 12, 16, 21, 40, 45, 100):
@@ -52,33 +52,33 @@ class TestUnitGroups:
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            unit_group_structure(0)
+            unit_group_components(0)
 
 
 class TestCharacters:
     def test_conductor_of_mod4(self):
         chi = DirichletCharacter(((2, 2, (1,)),))
-        assert conductor(chi) == 4
+        assert chi.conductor == 4
         assert chi.order == 2
 
     def test_conductor_of_faithful_mod9(self):
         # order-3 character mod 9 kills 1+9Z but not 1+3Z
         chi = DirichletCharacter(((3, 2, (2,)),))
         assert chi.order == 3
-        assert conductor(chi) == 9
+        assert chi.conductor == 9
 
     def test_mod8_lift_of_mod4(self):
         # -1 -> -1, 5 -> 1: the character mod 4 seen mod 8
         chi = DirichletCharacter(((2, 3, (1, 0)),))
         assert chi.modulus == 8
-        assert conductor(chi) == 4
+        assert chi.conductor == 4
         assert chi.primitive().modulus == 4
 
     def test_mul_and_power(self):
         chi8 = DirichletCharacter(((2, 3, (0, 1)),))
         chi_m8 = DirichletCharacter(((2, 3, (1, 1)),))
         prod = chi8.mul(chi_m8)
-        assert conductor(prod) == 4  # chi_8 * chi_-8 = chi_-4
+        assert prod.conductor == 4  # chi_8 * chi_-8 = chi_-4
         assert chi8.power(2).is_trivial()
 
     def test_generator_values_shape(self):
@@ -504,11 +504,28 @@ class TestCounting:
         assert peak < 2**20
 
     def test_local_types_count_against_the_budget(self):
-        # C2^3 to 16 sieves only p = 2, whose 64 homs (Z/8)^* -> G are each
-        # read against the 8 dual elements
-        with pytest.raises(BudgetExceededError):
-            count_surjections(make_group([2, 2, 2]), 16, node_budget=500)
-        assert count_surjections(make_group([2, 2, 2]), 16, node_budget=1000).surjections == 0
+        # C2^3 to 16 sieves to 16^(1/4) = 2, so 2 nodes; its 7 maximal
+        # subgroups cost 7, and the one build, at p = 2, reads its 64 homs
+        # (Z/8)^* -> G against each of them, 448 more: 457 in all
+        G = make_group([2, 2, 2])
+        with pytest.raises(BudgetExceededError, match="enumeration"):
+            count_surjections(G, 16, node_budget=2 + 7 + 448 - 1)
+        assert count_surjections(G, 16, node_budget=1000).surjections == 0
+
+    def test_budget_stops_before_the_kernels_are_listed(self):
+        # C2^20 has 2^20 - 1 maximal subgroups and 2^40 homs at p = 2; both
+        # counts come from the invariant factors, so the count stops before
+        # it lists a kernel or an image
+        tracemalloc.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(BudgetExceededError):
+                count_surjections(make_group([2] * 20), 10, "ram")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - start < 1
+        assert peak < 5 * 2**20
 
     def test_cyclic_count_builds_no_pool(self, monkeypatch):
         # the walk reads its local types from the homs into G, never one
@@ -538,3 +555,67 @@ class TestCounting:
         factorize.cache_clear()
         count_surjections(make_group([2]), 20000)
         assert factorize.cache_info().currsize < 10
+
+
+def _level(p: int, exp: int) -> int:
+    k, rest = 2 if p == 2 else 1, exp
+    while rest % p == 0:
+        rest //= p
+        k += 1
+    return k
+
+
+class TestDiscExponent:
+    """The filtration form of v_p(disc) against the dual-group sum it
+    replaced, hom by hom: every prime up to 17 at every level k up to one
+    past the one the count uses."""
+
+    GROUPS = [[d] for d in range(2, 28)] + [[5, 5], [2, 4, 8], [6, 6], [2, 2, 2, 2], [3, 9]]
+
+    def test_closed_form_matches_the_dual_sum(self):
+        checked = 0
+        for factors in self.GROUPS:
+            G = make_group(factors)
+            for p in (2, 3, 5, 7, 11, 13, 17):
+                for k in range(1, _level(p, G.exponent) + 2):
+                    for hom in local_homs(G, p, k):
+                        expected = dual_sum_exponent(G, p, k, hom)
+                        assert oracle._disc_exponent(p, k, G.order, hom) == expected, (G, p, k, hom)
+                        checked += 1
+        assert checked >= 3000
+
+
+class TestNoElementListing:
+    """Counts and unit-action summaries list no element of G: with the
+    listing made to raise they still give the numbers of the dual-group
+    and orbit-enumerating forms they replaced."""
+
+    @pytest.fixture(autouse=True)
+    def no_listing(self, monkeypatch):
+        def refuse(G):
+            raise AssertionError(f"{G} was listed")
+
+        monkeypatch.setattr(groups, "_elements", refuse)
+
+    @pytest.mark.parametrize("factors,X,disc,ram", [
+        ([2, 2, 4], 10**24, 13056, 1942464),
+        ([3, 3], 10**15, 480, 5520),
+        ([2, 2, 2, 2], 10**26, 1270080, 10906560),
+    ])
+    def test_counts(self, factors, X, disc, ram):
+        G = make_group(factors)
+        with pytest.raises(AssertionError):
+            G.elements()
+        assert count_surjections(G, X).surjections == disc
+        assert sum(m for _, m in count_surjections(G, X, histogram=True).histogram) == disc
+        assert count_surjections(G, 1000, "ram").surjections == ram
+
+    @pytest.mark.parametrize("factors,units,disc,ram", [
+        ([2, 6], [7], {"6": 3, "8": 2, "10": 6}, {"1": 11}),
+        ([2, 6], [5], {"6": 3, "8": 1, "10": 3}, {"1": 7}),
+        ([2, 2, 2, 2], [1], {"8": 15}, {"1": 15}),
+    ])
+    def test_unit_action_summaries(self, factors, units, disc, ram):
+        G = make_group(factors)
+        assert invariant_summary(G, "disc", units)["b"] == disc
+        assert invariant_summary(G, "ram", units)["b"] == ram
