@@ -322,19 +322,20 @@ def conjectured_pole_order(
     return max(_type_bbar(G, d, zeta_ord_hook, orders) for orders, _ in sieve_types(G))
 
 
-def classify_case(n: int, d: int, orders: list[int], m: int, cyclic: bool) -> str:
+def classify_case(n: int, d: int, smaller: list[int], m: int, cyclic: bool) -> str:
     """First applicable non-vanishing case for the pole at s = 1/d over Q.
 
-    G has order n and element orders ``orders`` (the divisors e > 1 of
-    exp(G), ascending); those of order e lie in Frattini(G) iff e | m.
-    i: d is the minimal index.  ii: everything of smaller index sits in the
-    Frattini subgroup.  iii: G = C2 x (odd) and smaller-index elements sit in
-    Frattini union the 2-torsion.  iv: G cyclic and d the index of a
-    generator.  'none' otherwise.
+    G has order n, d is in its index spectrum, and ``smaller`` holds exactly
+    the element orders e > 1 of G whose index n - n/e is below d, i.e. the
+    divisors of exp(G) below the one of index d.  Elements of order e lie in
+    Frattini(G) iff e | m.  i: d is the minimal index, so ``smaller`` is
+    empty.  ii: everything of smaller index sits in the Frattini subgroup.
+    iii: G = C2 x (odd) and smaller-index elements sit in Frattini union the
+    2-torsion.  iv: G cyclic and d the index of a generator.  'none'
+    otherwise.
     """
-    if d == n - n // orders[0]:
+    if not smaller:
         return "case_i"
-    smaller = [e for e in orders if n - n // e < d]
     if all(m % e == 0 for e in smaller):
         return "case_ii"
     if n % 4 == 2 and all(e == 2 or m % e == 0 for e in smaller):
@@ -354,12 +355,13 @@ def nonvanishing_case(G: AbelianGroup, d: int) -> str:
     orders = [e for e in divisors(G.exponent) if e > 1]
     if d not in {n - n // e for e in orders}:
         raise ValueError(f"{d} is not in the index spectrum of {G}")
+    smaller = [e for e in orders if n - n // e < d]
     m = 1
     for p, _ in factorize(n):
         # d_1 | d_2 | ...: the first d_i divisible by p has the least v_p
         first = next(f for f in G.invariant_factors if f % p == 0)
         m *= p ** (dict(factorize(first))[p] - 1)
-    return classify_case(n, d, orders, m, G.is_cyclic())
+    return classify_case(n, d, smaller, m, G.is_cyclic())
 
 
 def invariant_summary(

@@ -15,6 +15,11 @@ orders; only custom mu tables and custom weights walk the orbits.
 theta(D) is unimodal: past weight w_j its slope has the sign of S_j - a(k + C_j),
 C_j and S_j summing c and c w up to w_j.  That grows by c (w - a) >= 0 per class,
 so ``_theta_min`` stops at the first w_j with S_j >= a(k + C_j), or at 2a.
+
+The scan's block kernel makes each row a plain tuple of ints, a bool and the
+case name.  Pool workers, forked with the phi table already in memory, send
+those tuples back, and the parent builds every ScanRow once, so no ScanRow
+is pickled.
 """
 
 from __future__ import annotations
@@ -295,20 +300,29 @@ def _phi_sieve(n: int) -> list[int]:
     return phi
 
 
-def _scan_block(lo: int, hi: int, cn: int, cd: int, phi: list[int]) -> list[ScanRow]:
-    """The ScanRow of each composite n in [lo, hi), lo >= 4, with theta in lowest terms.
+def _scan_block(lo: int, hi: int, cn: int, cd: int, phi: list[int]) -> list[tuple]:
+    """The row of each composite n in [lo, hi), lo >= 4, as the plain tuple of
+    the ScanRow fields, with theta in lowest terms.
 
     Sieves the divisors 1 < e <= sqrt(n) of the block's n; their co-divisors
     n // e in reverse order, then n, complete the ascending list.  phi must
-    reach hi - 1; a divisor e is prime iff phi(e) = e - 1, which gives rad(n).
+    reach hi - 1; e is prime iff phi(e) = e - 1, and each p^j, j >= 2,
+    dividing n puts one p into m = n / rad(n).
     """
     small = [[] for _ in range(lo, hi)]
+    ms = [1] * (hi - lo)
     for e in range(2, math.isqrt(hi - 1) + 1):
         for i in range(max(e * e, -(-lo // e) * e) - lo, hi - lo, e):
             small[i].append(e)
+        if phi[e] == e - 1:
+            q = e * e
+            while q < hi:
+                for i in range(-(-lo // q) * q - lo, hi - lo, q):
+                    ms[i] *= e
+                q *= e
     rows = []
     append = rows.append
-    for n, low in zip(range(lo, hi), small):
+    for n, low, m in zip(range(lo, hi), small, ms):
         if not low:  # n is prime
             continue
         divs = low + [n // e for e in reversed(low) if e * e != n]
@@ -321,15 +335,14 @@ def _scan_block(lo: int, hi: int, cn: int, cd: int, phi: list[int]) -> list[Scan
         flag_i = num * d2 < den
         case = "none"
         if flag_i:  # otherwise no larger index has theta < 1/d either
-            m = n // math.prod(e for e in divs if phi[e] == e - 1)
-            for e in divs[1:]:
-                d = n - n // e
+            for j in range(1, len(divs)):
+                d = n - n // divs[j]
                 if num * d >= den:
                     break
-                case = classify_case(n, d, divs, m, True)
+                case = classify_case(n, d, divs[:j], m, True)
                 if case != "none":
                     break
-        append(ScanRow(n, a, d2, num, den, flag_i, case))
+        append((n, a, d2, num, den, flag_i, case))
     return rows
 
 
@@ -341,7 +354,7 @@ def _share_phi(phi: list[int]) -> None:
     _worker_phi = phi
 
 
-def _scan_block_packed(args: tuple) -> list[ScanRow]:
+def _scan_block_packed(args: tuple) -> list[tuple]:
     return _scan_block(*args, _worker_phi)
 
 
@@ -374,30 +387,36 @@ def scan_cyclic(
     step = max(256, min(SCAN_BLOCK, (n_max - 4) // (4 * jobs) + 1))
     blocks = [(lo, min(lo + step, n_max), cn, cd) for lo in range(4, n_max, step)]
     workers = min(jobs, len(blocks))
-    rows: list[ScanRow] = []
+    rows: list[ScanRow] = []  # wrapped block by block: no second copy of every row
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(workers, _share_phi, (phi,)) as pool:
             for part in pool.imap(_scan_block_packed, blocks):
-                rows += part
+                rows += map(ScanRow._make, part)
     else:
         for block in blocks:
-            rows += _scan_block(*block, phi)
+            rows += map(ScanRow._make, _scan_block(*block, phi))
     count_i = sum(r.flag_i for r in rows)
-    count_ii = sum(r.flag_ii for r in rows)
+    count_ii = sum(r.case != "none" for r in rows)
     return ScanReport(n_max, model.kind, len(rows), count_i, count_ii, tuple(rows))
 
 
+_CSV_TAILS = {
+    (flag_i, case): f",{flag_i:d},{case != 'none':d},{case}\r\n"
+    for flag_i in (False, True)
+    for case in ("none", "case_i", "case_ii", "case_iii", "case_iv")
+}
+
+
 def write_scan_csv(path: str, rows) -> None:
-    """Write the scan rows to ``path`` as csv.writer would: a header, then one
-    comma-separated line per row with theta as num/den, each line ended by CR LF."""
+    """Write the scan rows (ScanRows or plain tuples of their fields) to ``path`` as
+    csv.writer would: a header, then one comma-separated line per row with theta
+    as num/den, each line ended by CR LF."""
+    tails = _CSV_TAILS
     with open(path, "w", newline="") as handle:
         handle.write("n,a,d2,theta,flag_i,flag_ii,case\r\n")
-        handle.writelines(
-            f"{n},{a},{d2},{num}/{den},{flag_i:d},{case != 'none':d},{case}\r\n"
-            for n, a, d2, num, den, flag_i, case in rows
-        )
+        handle.writelines("%d,%d,%d,%d/%d" % row[:5] + tails[row[5:]] for row in rows)
 
 
 # -- dual Selmer size ----------------------------------------------------------

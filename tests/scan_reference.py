@@ -3,7 +3,8 @@
 The program walks each n's classes only up to the turning point of theta(D)
 and sieves the divisors of a block of n at once; this slow path evaluates
 the bound at every candidate D, takes the divisors from a smallest-prime-
-factor sieve, and is the reference the tests compare the scan against.
+factor sieve, with phi(e) from the factorization of e, and is the reference
+the tests compare the scan against.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from fractions import Fraction
 
 from malle_lab.invariants import classify_case
-from malle_lab.theta import ScanRow, SubconvexityModel, _phi_sieve
+from malle_lab.theta import ScanRow, SubconvexityModel
 
 
 def theta_table(classes, k):
@@ -49,19 +50,30 @@ def _spf_sieve(n: int) -> list[int]:
     return spf
 
 
+def _factorization(n: int, spf: list[int]) -> list[tuple[int, int]]:
+    """(p, k) for each prime power p^k exactly dividing n, from the smallest-prime-factor sieve."""
+    factors = []
+    while n > 1:
+        p = spf[n]
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        factors.append((p, k))
+    return factors
+
+
+def _phi(e: int, spf: list[int]) -> int:
+    return math.prod((p - 1) * p ** (k - 1) for p, k in _factorization(e, spf))
+
+
 def _divisors_and_radical(n: int, spf: list[int]) -> tuple[list[int], int]:
     """Sorted divisors and the radical of n, from the smallest-prime-factor sieve."""
     divs = [1]
     rad = 1
-    m = n
-    while m > 1:
-        p = spf[m]
+    for p, k in _factorization(n, spf):
         rad *= p
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        divs = [d * p**k for d in divs for k in range(e + 1)]
+        divs = [d * p**j for d in divs for j in range(k + 1)]
     divs.sort()
     return divs, rad
 
@@ -70,7 +82,6 @@ def scan_rows(n_max: int, model: SubconvexityModel) -> list[ScanRow]:
     """The rows of ``scan_cyclic(n_max, model)``, one composite n at a time."""
     slope = model.slope()
     cn, cd = slope.numerator, slope.denominator
-    phi = _phi_sieve(n_max)
     spf = _spf_sieve(n_max)
     rows = []
     for n in range(4, n_max):
@@ -80,14 +91,15 @@ def scan_rows(n_max: int, model: SubconvexityModel) -> list[ScanRow]:
         divs = divs[1:]
         inds = [n - n // e for e in divs]
         a, d2 = inds[0], inds[1]
-        _, (_, num, den) = theta_table([(ind, cn * phi[e]) for e, ind in zip(divs, inds)], cd)
+        _, (_, num, den) = theta_table([(ind, cn * _phi(e, spf)) for e, ind in zip(divs, inds)], cd)
         flag_i = num * d2 < den
         case = "none"
         if flag_i:
             for d in inds[1:]:
                 if num * d >= den:
                     break
-                case = classify_case(n, d, divs, n // rad, True)
+                smaller = [e for e, ind in zip(divs, inds) if ind < d]
+                case = classify_case(n, d, smaller, n // rad, True)
                 if case != "none":
                     break
         theta = Fraction(num, den)

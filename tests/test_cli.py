@@ -207,9 +207,16 @@ class TestScan:
             seen.append(jobs)
             return theta.scan_cyclic(n_max, model)
 
+        # one worker per CPU of the affinity mask; the CPU count where there is no mask
         monkeypatch.setattr(cli, "scan_cyclic", record)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
         payload(["scan-cyclic", "--max", "50"])
-        assert seen == [os.cpu_count() or 1]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        payload(["scan-cyclic", "--max", "50"])
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        payload(["scan-cyclic", "--max", "50"])
+        assert seen == [2, 5, 1]
 
     def test_bound_above_the_cap_is_budget_error(self, monkeypatch):
         def no_sieve(n):

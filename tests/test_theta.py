@@ -1,4 +1,7 @@
+import csv
 import functools
+import io
+import itertools
 import math
 import multiprocessing
 import pickle
@@ -354,6 +357,43 @@ class TestScan:
         serial = scan_cyclic(200, jobs=1).rows
         monkeypatch.setattr(multiprocessing, "get_context", no_pool)
         assert scan_cyclic(200, jobs=4).rows == serial
+
+    def test_workers_return_plain_tuples(self, monkeypatch):
+        # rows leave a worker as plain tuples and become ScanRows in the parent,
+        # so a ScanRow that cannot be pickled (the forked workers inherit the
+        # patch) does not stop the pool
+        serial = scan_cyclic(3000, jobs=1).rows
+
+        def no_pickle(self):
+            raise AssertionError("a ScanRow was pickled")
+
+        monkeypatch.setattr(theta.ScanRow, "__getnewargs__", no_pickle)
+        with pytest.raises(AssertionError, match="was pickled"):
+            pickle.dumps(serial[0])
+        rows = scan_cyclic(3000, jobs=2).rows
+        assert rows == serial
+        assert all(type(r) is theta.ScanRow for r in rows)
+
+    def test_csv_bytes_for_every_flag_and_case(self, tmp_path):
+        # every (flag_i, case) pair, with one- and many-digit ints, as csv.writer
+        # writes them with theta as str(Fraction)
+        cases = ("none", "case_i", "case_ii", "case_iii", "case_iv")
+        rows = [
+            theta.ScanRow(n, n - n // 2, 10**12 + n, num, den, flag_i, case)
+            for n, (flag_i, case) in enumerate(itertools.product((False, True), cases), start=4)
+            for num, den in ((1, 3), (10**9 + 7, 2**61 - 1))
+        ]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["n", "a", "d2", "theta", "flag_i", "flag_ii", "case"])
+        for r in rows:
+            flag_ii = int(r.case != "none")
+            theta_s = str(Fraction(r.num, r.den))
+            writer.writerow([r.n, r.a, r.d2, theta_s, int(r.flag_i), flag_ii, r.case])
+        for written in (rows, [tuple(r) for r in rows]):
+            out = tmp_path / "rows.csv"
+            theta.write_scan_csv(str(out), written)
+            assert out.read_bytes() == expected.getvalue().encode()
 
     def test_theta_in_lowest_terms(self):
         for r in scan_cyclic(3000).rows:
