@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 from .groups import (
@@ -61,6 +61,10 @@ class WeightFn:
     kind: str
     table: tuple[tuple[object, Fraction], ...] | None = None
 
+    @cached_property
+    def _lookup(self) -> dict[object, Fraction]:
+        return dict(self.table)
+
     @staticmethod
     def disc() -> "WeightFn":
         return WeightFn("disc")
@@ -99,7 +103,7 @@ def weight_of(G: AbelianGroup, wt: WeightFn, g: Element) -> Fraction:
         if g == G.identity:
             return Fraction(0)
         assert wt.table is not None
-        lookup = dict(wt.table)
+        lookup = wt._lookup
         if g in lookup:
             return lookup[g]
         o = element_order(G, g)
@@ -271,6 +275,20 @@ def cyclotomic_orbits(
     )
 
 
+@lru_cache(maxsize=None)
+def _index_spectrum(G: AbelianGroup) -> frozenset[int]:
+    n = G.order
+    return frozenset(n - n // e for e in divisors(G.exponent) if e > 1)
+
+
+@lru_cache(maxsize=None)
+def _orbit_counts(G: AbelianGroup, orders: Histogram) -> tuple[tuple[int, int, int], ...]:
+    """(order e, index n - n/e in G, number of orbits) by ascending e, so by
+    ascending index, over the cyclotomic orbits of the nonidentity elements
+    counted by ``orders``."""
+    return tuple((e, ind, k) for (e, ind), k in Counter(cyclotomic_orbits(G, orders, None)).items())
+
+
 def _type_bbar(G: AbelianGroup, d: int, zeta_ord_hook: ZetaOrderHook, orders: Histogram) -> int:
     """bbar at s = 1/d of a subgroup of G with element-order histogram ``orders``.
 
@@ -279,19 +297,19 @@ def _type_bbar(G: AbelianGroup, d: int, zeta_ord_hook: ZetaOrderHook, orders: Hi
     number minus, for every orbit of index ind < d, the hook at ind / d,
     clamped at 0.
     """
-    n = G.order
-    if d not in {n - n // e for e in divisors(G.exponent) if e > 1}:
+    if d not in _index_spectrum(G):
         raise ValueError(f"{d} is not in the index spectrum of {G}")
-    counts = Counter(cyclotomic_orbits(G, orders, None))
-    bbar = sum(k for (_, ind), k in counts.items() if ind == d)
+    counts = _orbit_counts(G, orders)
+    bbar = sum(k for _, ind, k in counts if ind == d)
     if not bbar:
         return 0
-    for (e, ind), k in counts.items():
-        if ind < d:
-            ord_val = zeta_ord_hook(e, Fraction(ind, d))
-            if ord_val < 0:
-                raise ValueError("zeta order hook returned a negative order")
-            bbar -= k * ord_val
+    for e, ind, k in counts:
+        if ind >= d:
+            break
+        ord_val = zeta_ord_hook(e, Fraction(ind, d))
+        if ord_val < 0:
+            raise ValueError("zeta order hook returned a negative order")
+        bbar -= k * ord_val
     return max(bbar, 0)
 
 
@@ -353,7 +371,7 @@ def nonvanishing_case(G: AbelianGroup, d: int) -> str:
     """
     n = G.order
     orders = [e for e in divisors(G.exponent) if e > 1]
-    if d not in {n - n // e for e in orders}:
+    if d not in _index_spectrum(G):
         raise ValueError(f"{d} is not in the index spectrum of {G}")
     smaller = [e for e in orders if n - n // e < d]
     m = 1

@@ -8,9 +8,11 @@ minimized over the finitely many candidates D in the weight spectrum plus
 D = 2a.  The subconvexity model supplies mu: degree/4 for convexity,
 degree/6 for the known unconditional bound, 0 under Lindelof, where the
 degree of the orbit L-function is |orbit| * [K:Q].  One kernel evaluates
-it: on Fractions for ``theta_best``, on ints in the cyclic scan; no floats.
-A preset's 2 mu is a slope per element, so its classes come from the element
-orders; only custom mu tables and custom weights walk the orbits.
+it, on ints for every preset model, in ``theta_best`` as in the cyclic scan;
+no floats.  A preset's 2 mu is a slope per element, so its classes come from
+the element orders, scaled by the slope's denominator; only custom mu tables
+and custom weights walk the orbits, and only they run the kernel on
+Fractions.  ``theta_best`` builds Fractions for its result alone.
 
 theta(D) is unimodal: past weight w_j its slope has the sign of S_j - a(k + C_j),
 C_j and S_j summing c and c w up to w_j.  That grows by c (w - a) >= 0 per class,
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .groups import AbelianGroup, Element, GroupTooLargeError, element_orders
@@ -64,9 +67,13 @@ class SubconvexityModel:
             raise ValueError(f"model kind {self.kind!r} has no per-element slope")
         return self.deg_k * _PRESET_SLOPES[self.kind]
 
+    @cached_property
+    def _lookup(self) -> dict[Element, Fraction]:
+        return dict(self.table)
+
     def mu(self, orbit: OrbitData) -> Fraction:
         if self.kind == "custom":
-            lookup = dict(self.table)
+            lookup = self._lookup
             if orbit.representative not in lookup:
                 raise KeyError(f"no mu entry for orbit of {orbit.representative}")
             value = lookup[orbit.representative]
@@ -171,22 +178,31 @@ def _candidate_table(classes, k):
     return table
 
 
-def _orbit_classes(G, action, wt, model) -> list[tuple[Fraction, Fraction]]:
-    """(w, sum of 2 mu over the orbits of weight w) by ascending w: the classes at k = 1."""
+def _orbit_classes(G, action, wt, model):
+    """(classes, k): (w, c_w) by ascending w, with c_w / k the sum of 2 mu over
+    the orbits of weight w.
+
+    A preset model under disc or ram gives int weights and c_w = slope
+    numerator times the number of elements of weight w, with k the slope
+    denominator, so the kernel runs on ints as in the cyclic scan.  Custom mu
+    tables and custom weights sum their orbits' Fractions, with k = 1.
+    """
     if G.order <= 1:
         raise ValueError("theta is undefined for the trivial group")
     if action.group != G:
         raise ValueError("action is attached to a different group")
-    classes: dict[Fraction, Fraction] = {}
     if model.kind != "custom" and wt.kind in ("disc", "ram"):
         n = G.order
+        counts: dict[int, int] = {}
         for e, k in element_orders(G)[1:]:
-            w = Fraction(n - n // e if wt.kind == "disc" else 1)
-            classes[w] = classes.get(w, 0) + model.slope() * k
-    else:
-        for o in nonidentity_orbits(G, action, wt):
-            classes[o.weight] = classes.get(o.weight, 0) + 2 * model.mu(o)
-    return sorted(classes.items())
+            w = n - n // e if wt.kind == "disc" else 1
+            counts[w] = counts.get(w, 0) + k
+        slope = model.slope()
+        return [(w, slope.numerator * c) for w, c in sorted(counts.items())], slope.denominator
+    classes: dict[Fraction, Fraction] = {}
+    for o in nonidentity_orbits(G, action, wt):
+        classes[o.weight] = classes.get(o.weight, 0) + 2 * model.mu(o)
+    return sorted(classes.items()), 1
 
 
 def theta_at_D(
@@ -198,12 +214,12 @@ def theta_at_D(
 ) -> Fraction:
     """The bound evaluated at one shift parameter D in [a, 2a]."""
     D = Fraction(D)
-    classes = _orbit_classes(G, action, wt, model)
+    classes, k = _orbit_classes(G, action, wt, model)
     a = classes[0][0]
     if not a <= D <= 2 * a:
         raise ValueError(f"D = {D} outside [{a}, {2 * a}]")
     below = [(w, c) for w, c in classes if w < D]
-    _, num, den = _bound_at(1, a, sum(c for _, c in below), sum(c * w for w, c in below), D)
+    _, num, den = _bound_at(k, a, sum(c for _, c in below), sum(c * w for w, c in below), D)
     return num / den
 
 
@@ -214,20 +230,20 @@ def theta_best(
     model: SubconvexityModel,
 ) -> ThetaResult:
     """Minimize the bound over the candidate shifts (spectrum plus 2a)."""
-    classes = _orbit_classes(G, action, wt, model)
+    classes, k = _orbit_classes(G, action, wt, model)
     a = classes[0][0]
-    witness, num, den = _theta_min(a, classes, 1)
-    table = tuple((D, n / d) for D, n, d in _candidate_table(classes, 1))
+    witness, num, den = _theta_min(a, classes, k)
+    table = tuple((Fraction(D), Fraction(n, d)) for D, n, d in _candidate_table(classes, k))
     values = [v for _, v in table]
     # convex in D: no interior strict local maximum among the candidates
     for i in range(1, len(values) - 1):
         assert not (
             values[i] > values[i - 1] and values[i] > values[i + 1]
         ), "candidate table has an interior local max"
-    bound = num / den
+    bound = Fraction(num, den)
     assert bound == min(values)
-    assert bound < 1 / a, "bound does not save over the main term"
-    return ThetaResult(bound, witness, model.kind, table)
+    assert bound * a < 1, "bound does not save over the main term"
+    return ThetaResult(bound, Fraction(witness), model.kind, table)
 
 
 def theta_ram(G: AbelianGroup, deg_k: int = 1) -> Fraction:

@@ -130,6 +130,26 @@ class TestOrbits:
         orbs = nonidentity_orbits(G, GaloisActionSpec.cyclotomic(G), wt)
         assert sorted(o.weight for o in orbs) == [1, 2, 3]
 
+    def test_custom_weight_missing_entry(self):
+        G = make_group([6])
+        with pytest.raises(KeyError) as missing:
+            WeightFn.custom(G, {2: 1, 6: 3})
+        assert missing.value.args == ("custom weight table has no entry for (2,) (order 3)",)
+        with pytest.raises(ValueError) as below_zero:
+            WeightFn.custom(G, {2: 1, 3: -2, 6: 3})
+        assert below_zero.value.args == ("weights must be nonnegative",)
+
+    def test_custom_weight_lookup_keeps_equality(self):
+        # orbits() caches on the weight: one whose lookup is built still
+        # equals, and hashes as, a fresh one of the same table
+        G = make_group([12])
+        mapping = {2: 1, 3: 2, 4: 2, 6: 3, 12: 4}
+        used = WeightFn.custom(G, mapping)
+        fresh = WeightFn("custom", used.table)
+        assert used == fresh and hash(used) == hash(fresh)
+        spectrum = sorted(o.weight for o in nonidentity_orbits(G, GaloisActionSpec.cyclotomic(G), fresh))
+        assert spectrum == [1, 2, 2, 3, 4]
+
 
 class TestAInvariant:
     def test_prime_cyclic(self):

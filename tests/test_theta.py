@@ -180,8 +180,32 @@ class TestThetaBest:
                         sums = {}
                         for o in nonidentity_orbits(G, action, wt):
                             sums[o.weight] = sums.get(o.weight, 0) + 2 * model.mu(o)
-                        classes = theta._orbit_classes(G, action, wt, model)
-                        assert classes == sorted(sums.items()), (G, action, wt, model)
+                        classes, k = theta._orbit_classes(G, action, wt, model)
+                        per_weight = [(w, Fraction(c, k)) for w, c in classes]
+                        assert per_weight == sorted(sums.items()), (G, action, wt, model)
+
+    def test_custom_mu_table_errors(self):
+        G = make_group([6])
+        reps = [o.representative for o in nonidentity_orbits(G, cyc(G), DISC)]
+        partial = SubconvexityModel.custom({r: Fraction(1, 3) for r in reps[1:]})
+        with pytest.raises(KeyError) as missing:
+            theta_best(G, cyc(G), DISC, partial)
+        assert missing.value.args == (f"no mu entry for orbit of {reps[0]}",)
+        negative = SubconvexityModel.custom({**{r: Fraction(1, 3) for r in reps}, reps[-1]: -1})
+        with pytest.raises(ValueError) as below_zero:
+            theta_best(G, cyc(G), DISC, negative)
+        assert below_zero.value.args == ("mu values must be nonnegative",)
+
+    def test_custom_mu_lookup_keeps_equality(self):
+        # the lookup a model builds on its first orbit is no field: a used
+        # model still equals, and hashes as, a fresh one of the same table
+        G = make_group([5])
+        mapping = {o.representative: Fraction(1, 4) for o in nonidentity_orbits(G, cyc(G), DISC)}
+        used = SubconvexityModel.custom(mapping)
+        first = theta_best(G, cyc(G), DISC, used)
+        fresh = SubconvexityModel.custom(mapping)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert theta_best(G, cyc(G), DISC, used) == first == theta_best(G, cyc(G), DISC, fresh)
 
     def test_unknown_model_rejected(self):
         for kind in ("foo", "custom"):  # a custom model needs its mu table
@@ -213,12 +237,12 @@ class TestThetaMin:
             for wt in (DISC, RAM):
                 for deg in (1, 2):
                     for model in self._models(G, wt, deg, rng):
-                        classes = theta._orbit_classes(G, cyc(G), wt, model)
-                        table, best = scan_reference.theta_table(classes, 1)
-                        assert theta._theta_min(classes[0][0], iter(classes), 1) == best
+                        classes, k = theta._orbit_classes(G, cyc(G), wt, model)
+                        table, best = scan_reference.theta_table(classes, k)
+                        assert theta._theta_min(classes[0][0], iter(classes), k) == best
                         result = theta_best(G, cyc(G), wt, model)
                         assert result.witness_d == best[0], (G, model)
-                        assert result.candidates == tuple((D, n / d) for D, n, d in table)
+                        assert result.candidates == tuple((D, Fraction(n, d)) for D, n, d in table)
 
     def test_flat_piece_takes_its_first_weight(self):
         # C4 with 2 mu = 2 on its weight-3 orbit: the slope past D = 3 is 0,
@@ -244,6 +268,82 @@ class TestThetaMin:
                     make(deg)
         with pytest.raises(ValueError, match="at least 1"):
             theta_ram(make_group([4]), -2)  # 6 + deg (|G| - 1) = 0
+
+
+class TestIntKernel:
+    """Presets run the theta kernel on ints; custom tables keep Fractions."""
+
+    @staticmethod
+    def _reference(G, action, wt, model):
+        """(candidates, (D, num, den) at the first minimum) from Fractions alone:
+        the sums of 2 mu over the enumerated orbits of each weight, at k = 1."""
+        sums = {}
+        for o in nonidentity_orbits(G, action, wt):
+            sums[o.weight] = sums.get(o.weight, Fraction(0)) + 2 * model.mu(o)
+        table, best = scan_reference.theta_table(sorted(sums.items()), 1)
+        return tuple((D, num / den) for D, num, den in table), best
+
+    @staticmethod
+    def _cases(G):
+        """(weight, model) over the presets at deg_k 1 and 2 under disc and ram,
+        one custom mu table under each, and a preset under a custom weight table."""
+        for wt in (DISC, RAM):
+            for kind in ("soehne", "convexity", "lindelof"):
+                for deg in (1, 2):
+                    yield wt, SubconvexityModel(kind, deg)
+            reps = [o.representative for o in nonidentity_orbits(G, cyc(G), wt)]
+            yield wt, SubconvexityModel.custom(
+                {r: Fraction(i % 3, i + 2) for i, r in enumerate(reps)}
+            )
+        orders = [e for e in range(2, G.exponent + 1) if G.exponent % e == 0]
+        yield WeightFn.custom(G, {e: Fraction(e + 1, 2) for e in orders}), SubconvexityModel.soehne()
+
+    def test_parity_with_fraction_reference(self):
+        for G in all_abelian_groups(64):
+            for wt, model in self._cases(G):
+                candidates, (D_min, num, den) = self._reference(G, cyc(G), wt, model)
+                result = theta_best(G, cyc(G), wt, model)
+                assert result.candidates == candidates, (G, wt, model)
+                assert result.bound == num / den and result.witness_d == D_min, (G, wt, model)
+                assert type(result.bound) is Fraction and type(result.witness_d) is Fraction
+                for D, value in result.candidates:
+                    assert type(D) is Fraction and type(value) is Fraction
+                    at_D = theta_at_D(G, cyc(G), wt, model, D)
+                    assert at_D == value and type(at_D) is Fraction, (G, wt, model, D)
+            for deg in (1, 2):
+                _, (_, num, den) = self._reference(G, cyc(G), RAM, SubconvexityModel.soehne(deg))
+                assert theta_ram(G, deg) == num / den, (G, deg)
+
+    def test_presets_feed_the_kernel_ints(self, monkeypatch):
+        calls = []
+
+        def check(classes, k):
+            assert type(k) is int, k
+            for w, c in classes:
+                assert type(w) is int and type(c) is int, (w, c)
+            calls.append(k)
+
+        theta_min, candidate_table = theta._theta_min, theta._candidate_table
+
+        def guarded_min(a, classes, k):
+            classes = list(classes)
+            assert type(a) is int, a
+            check(classes, k)
+            return theta_min(a, classes, k)
+
+        def guarded_table(classes, k):
+            check(classes, k)
+            return candidate_table(classes, k)
+
+        monkeypatch.setattr(theta, "_theta_min", guarded_min)
+        monkeypatch.setattr(theta, "_candidate_table", guarded_table)
+        for G in all_abelian_groups(32):
+            for wt in (DISC, RAM):
+                for kind in ("soehne", "convexity", "lindelof"):
+                    for deg in (1, 2):
+                        theta_best(G, cyc(G), wt, SubconvexityModel(kind, deg))
+            theta_ram(G)
+        assert len(calls) == 2 * len(all_abelian_groups(32)) * (12 + 1)
 
 
 class TestThetaRam:
