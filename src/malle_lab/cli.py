@@ -51,6 +51,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _emit(payload: dict, started: float, argv: list[str]) -> None:
+    """Print the payload with its manifest; ``run`` is the one caller."""
     body = json.dumps(payload, sort_keys=True)
     manifest = {
         "command": argv[0] if argv else "",
@@ -79,7 +80,7 @@ def _write_csv(path: str | None, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _cmd_invariants(args, argv, started) -> int:
+def _cmd_invariants(args) -> dict:
     G = parse_group_literal(args.group)
     if G.order <= 1:
         raise UsageError("the trivial group has no counting invariants")
@@ -88,23 +89,20 @@ def _cmd_invariants(args, argv, started) -> int:
         if not args.action.startswith("units="):
             raise UsageError(f"malformed action spec {args.action!r}")
         units = [int(tok) for tok in args.action[len("units="):].split(",") if tok]
-    payload = invariant_summary(G, ordering=args.ordering, units=units)
-    _emit(payload, started, argv)
-    return 0
+    return invariant_summary(G, ordering=args.ordering, units=units)
 
 
-def _cmd_theta(args, argv, started) -> int:
+def _cmd_theta(args) -> dict:
     G = parse_group_literal(args.group)
     model = SubconvexityModel(args.model, args.degK)
     wt = WeightFn.disc() if args.ordering == "disc" else WeightFn.ram()
     result = theta_best(G, GaloisActionSpec.cyclotomic(G), wt, model)
     payload = {"group": str(G), "ordering": args.ordering, "degK": args.degK}
     payload.update(result.as_dict())
-    _emit(payload, started, argv)
-    return 0
+    return payload
 
 
-def _cmd_scan(args, argv, started) -> int:
+def _cmd_scan(args) -> dict:
     model = SubconvexityModel(args.model)
     jobs = args.jobs
     if jobs is None:  # one worker per CPU this process may run on
@@ -116,11 +114,10 @@ def _cmd_scan(args, argv, started) -> int:
     if args.out:
         write_scan_csv(args.out, report.rows)
         payload["csv"] = args.out
-    _emit(payload, started, argv)
-    return 0
+    return payload
 
 
-def _cmd_series(args, argv, started) -> int:
+def _cmd_series(args) -> dict:
     G = parse_group_literal(args.group)
     s = _parse_fraction(args.s)
     if args.surjective and args.mode == "residual":
@@ -137,22 +134,21 @@ def _cmd_series(args, argv, started) -> int:
     else:
         state = euler_product_truncated(G, s, args.pmax, mode=args.mode)
         payload.update(state.as_dict())
-    _emit(payload, started, argv)
-    return 0
+    return payload
 
 
-def _cmd_coeffs(args, argv, started) -> int:
+def _cmd_coeffs(args) -> dict | None:
     G = parse_group_literal(args.group)
     _check_writable(args.out)
     coeffs = series_coefficients(G, args.max, surjective=args.surjective)
     rows = sorted(coeffs.items())
     _write_csv(args.out, ["n", "count"], rows)
     if args.out:
-        _emit({"group": str(G), "max": args.max, "rows": len(rows), "csv": args.out}, started, argv)
-    return 0
+        return {"group": str(G), "max": args.max, "rows": len(rows), "csv": args.out}
+    return None
 
 
-def _cmd_count(args, argv, started) -> int:
+def _cmd_count(args) -> dict:
     G = parse_group_literal(args.group)
     _check_writable(args.histogram)
     report = count_surjections(
@@ -163,18 +159,15 @@ def _cmd_count(args, argv, started) -> int:
     payload = report.as_dict()
     if args.histogram:
         payload["histogram_csv"] = args.histogram
-    _emit(payload, started, argv)
-    return 0
+    return payload
 
 
-def _cmd_sieve_check(args, argv, started) -> int:
+def _cmd_sieve_check(args) -> dict:
     G = parse_group_literal(args.group)
-    report = nonvanishing_limit(G, args.d, args.pmax)
-    _emit(report.as_dict(), started, argv)
-    return 0
+    return nonvanishing_limit(G, args.d, args.pmax).as_dict()
 
 
-def _cmd_tauberian(args, argv, started) -> int:
+def _cmd_tauberian(args) -> dict:
     if args.mode == "exponent":
         params = TauberianParams(
             sigma_a=_parse_fraction(args.sigma),
@@ -183,19 +176,16 @@ def _cmd_tauberian(args, argv, started) -> int:
             k=args.k,
         )
         result: SavingExponents = saving_exponent(params)
-        payload = {
+        return {
             "error_exponent": str(result.error_exponent),
             "T_exponent": str(result.t_exponent),
             "y_exponent": str(result.y_exponent),
             "limit_exponent": str(result.limit_exponent),
         }
-        _emit(payload, started, argv)
-        return 0
     counts = _read_counts(args.counts)
     main = _parse_main_term(args.main)
     slope, ci = fit_exponent(counts, main)
-    _emit({"fitted_exponent": slope, "ci95": ci, "samples": len(counts)}, started, argv)
-    return 0
+    return {"fitted_exponent": slope, "ci95": ci, "samples": len(counts)}
 
 
 def _read_counts(path: str) -> list[tuple[float, float]]:
@@ -341,7 +331,10 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args, argv, started)
+        payload = args.func(args)
+        if payload is not None:
+            _emit(payload, started, argv)
+        return 0
     except (GroupTooLargeError, BudgetExceededError, MemoryError) as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return 3

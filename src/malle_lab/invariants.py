@@ -282,6 +282,19 @@ def _index_spectrum(G: AbelianGroup) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
+def _frattini_exponent(G: AbelianGroup) -> int:
+    """m with Frattini(G) = prod_p p G_p holding every element of order e iff
+    e | m: m = prod over p | |G| of p^(min v_p(d_i) - 1), over the invariant
+    factors d_i divisible by p."""
+    m = 1
+    for p, _ in factorize(G.order):
+        # d_1 | d_2 | ...: the first d_i divisible by p has the least v_p
+        first = next(f for f in G.invariant_factors if f % p == 0)
+        m *= p ** (dict(factorize(first))[p] - 1)
+    return m
+
+
+@lru_cache(maxsize=None)
 def _orbit_counts(G: AbelianGroup, orders: Histogram) -> tuple[tuple[int, int, int], ...]:
     """(order e, index n - n/e in G, number of orbits) by ascending e, so by
     ascending index, over the cyclotomic orbits of the nonidentity elements
@@ -364,22 +377,12 @@ def classify_case(n: int, d: int, smaller: list[int], m: int, cyclic: bool) -> s
 
 
 def nonvanishing_case(G: AbelianGroup, d: int) -> str:
-    """``classify_case`` from the invariant factors d_i, so G may exceed the cap.
-
-    Frattini(G) = prod_p p G_p holds every element of order e iff e divides
-    m = prod over p | |G| of p^(min v_p(d_i) - 1), over the d_i divisible by p.
-    """
+    """``classify_case`` from the invariant factors, so G may exceed the cap."""
     n = G.order
-    orders = [e for e in divisors(G.exponent) if e > 1]
     if d not in _index_spectrum(G):
         raise ValueError(f"{d} is not in the index spectrum of {G}")
-    smaller = [e for e in orders if n - n // e < d]
-    m = 1
-    for p, _ in factorize(n):
-        # d_1 | d_2 | ...: the first d_i divisible by p has the least v_p
-        first = next(f for f in G.invariant_factors if f % p == 0)
-        m *= p ** (dict(factorize(first))[p] - 1)
-    return classify_case(n, d, smaller, m, G.is_cyclic())
+    smaller = [e for e in divisors(G.exponent)[1:] if n - n // e < d]
+    return classify_case(n, d, smaller, _frattini_exponent(G), G.is_cyclic())
 
 
 def invariant_summary(

@@ -6,10 +6,13 @@ are the oracle's :class:`~malle_lab.oracle.DirichletCharacter`; each
 L-function is evaluated from the character's value table through Hurwitz
 zeta sums (Euler-Maclaurin under the hood), so real points inside the
 critical strip and residues at 1 are both available to high precision.
+Every evaluator, here and in ``series``, runs under ``working_precision``:
+MALLE_LAB_PRECISION digits plus 10 guard digits, with no per-call override.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 
@@ -49,36 +52,39 @@ def _l_value(x: Fraction, f: int, prim: tuple[tuple[int, Fraction], ...]):
     return total * mp.power(f, -xs)
 
 
+@contextmanager
+def working_precision():
+    """mp.workdps at MALLE_LAB_PRECISION plus 10 guard digits, read at each
+    entry; yields the digits."""
+    digits = precision_digits()
+    with mp.workdps(digits + 10):
+        yield digits
+
+
 @lru_cache(maxsize=None)
-def _cyclotomic_zeta(m: int, x: Fraction, dps: int):
+def _cyclotomic_zeta(m: int, x: Fraction, digits: int):
     """Product of L(x, chi) over the characters mod m; at x = 1 the trivial
-    character, whose L-function has the pole, is left out."""
-    with mp.workdps(dps + 10):
-        acc = mp.mpc(1)
-        for chi in characters_mod(m):
-            if x == 1 and chi.conductor == 1:
-                continue
-            acc *= _l_value(x, chi.conductor, chi.angles())
-        assert abs(acc.imag) < mp.mpf(10) ** (-dps), "zeta value should be real"
-        return acc.real
+    character, whose L-function has the pole, is left out.  Runs under
+    ``working_precision``; its digits key the cache."""
+    acc = mp.mpc(1)
+    for chi in characters_mod(m):
+        if x == 1 and chi.conductor == 1:
+            continue
+        acc *= _l_value(x, chi.conductor, chi.angles())
+    assert abs(acc.imag) < mp.mpf(10) ** (-digits), "zeta value should be real"
+    return acc.real
 
 
-def dedekind_zeta_value(m: int, x: Fraction | int, dps: int | None = None):
+def dedekind_zeta_value(m: int, x: Fraction | int):
     """zeta of Q(zeta_m) at the real point x != 1, as a real mpf."""
     x = Fraction(x)
     if x == 1:
         raise ValueError("pole at 1; use dedekind_zeta_residue")
-    return _cyclotomic_zeta(m, x, dps or precision_digits())
+    with working_precision() as digits:
+        return _cyclotomic_zeta(m, x, digits)
 
 
-def dedekind_zeta_residue(m: int, dps: int | None = None):
+def dedekind_zeta_residue(m: int):
     """Residue at s = 1 of zeta of Q(zeta_m): product of L(1, chi), chi != 1."""
-    return _cyclotomic_zeta(m, Fraction(1), dps or precision_digits())
-
-
-def riemann_zeta_value(x: Fraction | int, dps: int | None = None):
-    x = Fraction(x)
-    if x == 1:
-        raise ValueError("pole at 1")
-    with mp.workdps((dps or precision_digits()) + 10):
-        return mp.zeta(mp.mpf(x.numerator) / x.denominator)
+    with working_precision() as digits:
+        return _cyclotomic_zeta(m, Fraction(1), digits)

@@ -36,9 +36,10 @@ f = 1 + sum c u^a it is below sum |c| (2a - 1) units of 2^-W, relative to
 f, and below 2 units per product step; a row's stated relative bound is
 twice their sum over the primes, plus 2^-mp.prec for the final rounding.
 ``_sieve_sums`` evaluates every weighted sum over rows and reads a sum
-within its summed bound as an exact 0; such sums occur where the primes so
-far admit no surjection.
-No prime loop runs past EULER_PRIME_CAP.
+within its summed bound as an exact 0 (the primes so far admit no
+surjection) only if each of its rows states a bound below 1; else it raises.
+No prime loop runs past EULER_PRIME_CAP.  The precision is that of
+``lvalues.working_precision``.
 
 The exact Dirichlet coefficients come from the same factors.  They are
 multiplicative, so ``series_coefficients`` keeps them in one list over
@@ -72,7 +73,7 @@ from .groups import (
     sieve_types,
 )
 from .invariants import cyclotomic_orbits, nonvanishing_case
-from .lvalues import dedekind_zeta_residue, dedekind_zeta_value, riemann_zeta_value
+from .lvalues import dedekind_zeta_residue, dedekind_zeta_value, working_precision
 from .numerics import (
     divisors,
     euler_phi,
@@ -80,7 +81,6 @@ from .numerics import (
     integer_root,
     is_prime,
     multiplicative_order,
-    precision_digits,
     primes_up_to,
 )
 
@@ -407,11 +407,7 @@ def _fixed_power(u: int, k: int, W: int) -> int:
 
 
 def euler_product_truncated(
-    G: AbelianGroup,
-    s: Fraction | int,
-    p_max: int,
-    mode: str = "full",
-    dps: int | None = None,
+    G: AbelianGroup, s: Fraction | int, p_max: int, mode: str = "full"
 ) -> EulerProductState:
     """Product of local factors over p <= p_max at real s.
 
@@ -428,10 +424,9 @@ def euler_product_truncated(
         raise DivergenceError(f"residual product diverges at s = {s} <= 1/(2a)")
     if mode not in ("full", "residual"):
         raise ValueError(f"unknown mode {mode!r}")
-    dps = dps or precision_digits()
     rows = [(orders, entries if mode == "residual" else ())]
     factor_log: list = []
-    with mp.workdps(dps + 10):
+    with working_precision():
         checkpoints = tuple(
             (p or p_max, prods[0])
             for _, p, prods in _euler_products(G, s, p_max, rows, factor_log)
@@ -533,7 +528,9 @@ def _sieve_sums(G: AbelianGroup, s: Fraction, p_max: int, parts):
     product, the parts' rows in turn.  A sum within its rounding bound,
     sum |weight prod| times each product's stated bound plus 2^-prec for
     the product by the weight, is exactly 0; such sums occur where the
-    primes so far admit no surjection.
+    primes so far admit no surjection.  If a row of nonzero weight states a
+    bound of 1 or more, such a sum has no digits and raises
+    GroupTooLargeError instead.
     """
     rows = [row for part in parts for row in part]
     bounds: list = []
@@ -541,22 +538,27 @@ def _sieve_sums(G: AbelianGroup, s: Fraction, p_max: int, parts):
     unit = mp.ldexp(1, -mp.prec)
     out = []
     for (mark, _, prods), errors in zip(marks, bounds):
-        terms = [(row[2] * prod, error) for row, prod, error in zip(rows, prods, errors)]
+        terms = [(row[2], row[2] * prod, error) for row, prod, error in zip(rows, prods, errors)]
         sums, start = [], 0
         for part in parts:
             own, start = terms[start : start + len(part)], start + len(part)
-            value = mp.fsum(t for t, _ in own)
-            bound = mp.fsum(abs(t) * (error + unit) for t, error in own)
-            sums.append(mp.zero if abs(value) <= bound else value)
+            value = mp.fsum(t for _, t, _ in own)
+            if abs(value) > mp.fsum(abs(t) * (error + unit) for _, t, error in own):
+                sums.append(value)
+                continue
+            worst = max((error for weight, _, error in own if weight), default=0)
+            if worst >= 1:
+                raise GroupTooLargeError(
+                    f"a sieve row states a relative bound of {mp.nstr(worst, 3)} at p <= {mark} "
+                    f"with {mp.dps} working digits; raise MALLE_LAB_PRECISION"
+                )
+            sums.append(mp.zero)
         out.append((mark, sums, prods))
     return out
 
 
 def sieve_to_surjective(
-    G: AbelianGroup,
-    s: Fraction | int,
-    p_max: int,
-    dps: int | None = None,
+    G: AbelianGroup, s: Fraction | int, p_max: int
 ) -> tuple[object, tuple[tuple[str, int, object], ...]]:
     """Moebius-weighted sum of truncated subgroup-restricted products at s.
 
@@ -569,10 +571,9 @@ def sieve_to_surjective(
     _, a = _sieve_entries(G)
     if s <= Fraction(1, a):
         raise DivergenceError(f"sieve summands diverge at s = {s} <= 1/a")
-    dps = dps or precision_digits()
     subgroups = sieve_terms(G)  # raises above SIEVE_TERMS_CAP before the prime loop
     types = sieve_types(G)
-    with mp.workdps(dps + 10):
+    with working_precision():
         *_, (_, (total,), prods) = _sieve_sums(
             G, s, p_max, [[(orders, (), mu) for orders, mu in types]]
         )
@@ -610,9 +611,7 @@ class MainTermEstimate:
         }
 
 
-def residue_main_term(
-    G: AbelianGroup, p_max: int, dps: int | None = None
-) -> MainTermEstimate:
+def residue_main_term(G: AbelianGroup, p_max: int) -> MainTermEstimate:
     """Leading main-term coefficient of the surjection count.
 
     The count grows like leading * X^(1/a) log(X)^(b-1); the leading value
@@ -620,10 +619,9 @@ def residue_main_term(
     truncated residual Euler product at s = 1/a, the zeta residues of the
     minimal-index orbits, and the zeta values of the larger orbits.
     """
-    dps = dps or precision_digits()
     entries, a = _sieve_entries(G)
     b = sum(1 for _, ind in entries if ind == a)
-    with mp.workdps(dps + 10):
+    with working_precision():
         rows = []
         for orders, mu in sieve_types(G):
             orbits_in = cyclotomic_orbits(G, orders)
@@ -632,9 +630,9 @@ def residue_main_term(
             zeta_part = mp.mpf(1)
             for m, ind in orbits_in:
                 if ind == a:
-                    zeta_part *= dedekind_zeta_residue(m, dps) / a
+                    zeta_part *= dedekind_zeta_residue(m) / a
                 else:
-                    zeta_part *= dedekind_zeta_value(m, Fraction(ind, a), dps)
+                    zeta_part *= dedekind_zeta_value(m, Fraction(ind, a))
             rows.append((orders, orbits_in, mu * zeta_part))
         checkpoints = tuple(
             (mark, value * a / math.factorial(b - 1))
@@ -678,9 +676,7 @@ class NonvanishingReport:
         }
 
 
-def nonvanishing_limit(
-    G: AbelianGroup, d: int, p_max: int, dps: int | None = None
-) -> NonvanishingReport:
+def nonvanishing_limit(G: AbelianGroup, d: int, p_max: int) -> NonvanishingReport:
     """Truncated limit expression certifying the pole at s = 1/d.
 
     Cases i/ii evaluate the sieve with all smaller-index zeta factors divided
@@ -693,7 +689,6 @@ def nonvanishing_limit(
     case = nonvanishing_case(G, d)
     if case == "none":
         raise UnsupportedCaseError(f"no proved expression for {G} at d = {d}")
-    dps = dps or precision_digits()
 
     def rows(types, lower):
         """The types' rows with the zeta factors of lower < ind < d divided
@@ -714,10 +709,10 @@ def nonvanishing_limit(
     else:
         types = ((element_orders(G), 1),) if case == "case_iv" else sieve_types(G)
         parts = [rows(types, 0)]
-    with mp.workdps(dps + 10):
+    with working_precision():
         sums = _sieve_sums(G, Fraction(1, d), p_max, parts)
-        if case == "case_iii":
-            zeta_at = riemann_zeta_value(Fraction(a, d), dps)
+        if case == "case_iii":  # zeta(a/d), the cyclotomic zeta at m = 1
+            zeta_at = dedekind_zeta_value(1, Fraction(a, d))
             checkpoints = tuple((m, zeta_at * plus + minus) for m, (plus, minus), _ in sums)
         else:
             checkpoints = tuple((m, value) for m, (value,), _ in sums)

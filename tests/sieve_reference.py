@@ -28,7 +28,7 @@ from malle_lab.invariants import (
     nonvanishing_case,
     weight_spectrum,
 )
-from malle_lab.lvalues import dedekind_zeta_residue, dedekind_zeta_value, riemann_zeta_value
+from malle_lab.lvalues import dedekind_zeta_residue, dedekind_zeta_value
 from malle_lab.numerics import factorize
 from malle_lab.series import _euler_products
 
@@ -204,11 +204,9 @@ def residue_main_term(G: AbelianGroup, p_max: int, dps: int):
             zeta_part = mp.mpf(1)
             for o in orbits_in:
                 if o.weight == a:
-                    zeta_part *= dedekind_zeta_residue(o.element_order, dps) / a
+                    zeta_part *= dedekind_zeta_residue(o.element_order) / a
                 else:
-                    zeta_part *= dedekind_zeta_value(
-                        o.element_order, Fraction(int(o.weight), a), dps
-                    )
+                    zeta_part *= dedekind_zeta_value(o.element_order, Fraction(int(o.weight), a))
             orbit_entries = tuple((o.element_order, int(o.weight)) for o in orbits_in)
             rows.append((histogram(H), orbit_entries))
             weights.append((mu, zeta_part))
@@ -248,7 +246,7 @@ def nonvanishing_limit(G: AbelianGroup, d: int, p_max: int, dps: int):
                 for j in range(len(parts))
             ]
             if case == "case_iii":
-                sums = [riemann_zeta_value(Fraction(a, d), dps) * sums[0] + sums[1]]
+                sums = [mp.zeta(mp.mpf(a) / d) * sums[0] + sums[1]]
             out.append((mark, sums[0]))
         return tuple(out)
 

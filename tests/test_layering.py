@@ -12,7 +12,10 @@ count their orbits, so only ``groups``, which holds the listing, and
 ``invariants``, whose automorphism twists and element-keyed tables need it,
 list the elements of G.
 The series' orbits are the counted ``cyclotomic_orbits``, so it names none
-of the enumerated orbit forms of ``invariants`` either."""
+of the enumerated orbit forms of ``invariants`` either.
+The precision has one source, MALLE_LAB_PRECISION: no function takes a
+``dps`` parameter, and only ``lvalues.working_precision`` and the CLI's
+manifest (``cli._emit``) call ``precision_digits``."""
 
 import ast
 from pathlib import Path
@@ -57,6 +60,41 @@ def _uses(source: str, names: set[str]) -> list[str]:
     return found
 
 
+PRECISION_READERS = {("lvalues", "working_precision"), ("cli", "_emit")}
+
+
+def _dps_parameters(source: str) -> list[str]:
+    """The functions of the source that take a parameter named dps."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            if any(a is not None and a.arg == "dps" for a in params):
+                found.append(getattr(node, "name", "<lambda>"))
+    return found
+
+
+def _precision_calls(source: str) -> list[str]:
+    """The innermost enclosing function of each call of precision_digits
+    ("<module>" at module level)."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "precision_digits":
+                found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 PACKAGE = Path(malle_lab.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
@@ -77,6 +115,21 @@ def test_no_element_listing_outside_groups_and_invariants(module):
 
 def test_series_counts_its_orbits():
     assert _uses(_source("series"), ENUMERATED_ORBIT_NAMES) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_dps_parameter(module):
+    assert _dps_parameters(_source(module)) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_precision_read_in_one_place(module):
+    callers = {(module, owner) for owner in _precision_calls(_source(module))}
+    assert callers <= PRECISION_READERS
+
+
+def test_precision_readers_exist():
+    assert {(m, o) for m in ("lvalues", "cli") for o in _precision_calls(_source(m))} == PRECISION_READERS
 
 
 def test_guard_finds_each_form():
@@ -103,3 +156,19 @@ def test_guard_finds_each_form():
         "y = invariants.a_invariant(G, A, W)\n"
     )
     assert sorted(_uses(source, ENUMERATED_ORBIT_NAMES)) == sorted(ENUMERATED_ORBIT_NAMES)
+    source = (
+        "def residue_main_term(G, p_max, dps=None): ...\n"
+        "def value(m, x, *, dps): ...\n"
+        "def plain(G, digits): ...\n"
+        "key = lambda dps: dps\n"
+    )
+    assert _dps_parameters(source) == ["residue_main_term", "value", "<lambda>"]
+    source = (
+        "from . import numerics\n"
+        "DIGITS = precision_digits()\n"
+        "def residue_main_term(G, p_max):\n"
+        "    def rows():\n"
+        "        return numerics.precision_digits() + 10\n"
+        "    return precision_digits\n"
+    )
+    assert _precision_calls(source) == ["<module>", "rows"]

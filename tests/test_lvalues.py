@@ -7,7 +7,6 @@ from malle_lab.lvalues import (
     characters_mod,
     dedekind_zeta_residue,
     dedekind_zeta_value,
-    riemann_zeta_value,
 )
 from malle_lab.oracle import TRIVIAL_CHARACTER
 
@@ -63,12 +62,13 @@ class TestCharacters:
 class TestValues:
     def test_riemann_at_two(self):
         with mp.workdps(40):
-            assert close(riemann_zeta_value(2), mp.pi**2 / 6, 35)
+            assert close(dedekind_zeta_value(1, 2), mp.pi**2 / 6, 35)
 
     def test_trivial_fields_are_riemann(self):
         for m in (1, 2):
-            x = Fraction(3, 4)
-            assert close(dedekind_zeta_value(m, x), riemann_zeta_value(x), 30)
+            with mp.workdps(40):
+                expected = mp.zeta(mp.mpf(3) / 4)
+            assert close(dedekind_zeta_value(m, Fraction(3, 4)), expected, 30)
 
     def test_gaussian_field_at_two(self):
         # zeta_{Q(i)}(2) = zeta(2) * L(2, chi_-4) = (pi^2/6) * Catalan
@@ -98,8 +98,8 @@ class TestValues:
         assert close(dedekind_zeta_residue(12), expected, 28)
 
     def test_negative_value_in_critical_strip(self):
-        assert riemann_zeta_value(Fraction(3, 4)) < 0
-        assert riemann_zeta_value(Fraction(2, 3)) < 0
+        assert dedekind_zeta_value(1, Fraction(3, 4)) < 0
+        assert dedekind_zeta_value(1, Fraction(2, 3)) < 0
 
     def test_pole_rejected(self):
         import pytest
@@ -151,10 +151,10 @@ class TestPinnedDigits:
     character enumeration cannot move any of them."""
 
     def test_residues(self):
-        got = {m: mp.nstr(dedekind_zeta_residue(m, 50), 45) for m in PINNED_RESIDUES}
+        got = {m: mp.nstr(dedekind_zeta_residue(m), 45) for m in PINNED_RESIDUES}
         assert got == PINNED_RESIDUES
 
     def test_values(self):
         for x, pinned in PINNED_VALUES.items():
-            got = {m: mp.nstr(dedekind_zeta_value(m, x, 50), 45) for m in pinned}
+            got = {m: mp.nstr(dedekind_zeta_value(m, x), 45) for m in pinned}
             assert got == pinned, x

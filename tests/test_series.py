@@ -18,6 +18,7 @@ from malle_lab.groups import (
 )
 from malle_lab import series
 from malle_lab.invariants import GaloisActionSpec, WeightFn, b_d, weight_spectrum
+from malle_lab.lvalues import dedekind_zeta_residue
 from malle_lab.series import (
     DivergenceError,
     UnsupportedCaseError,
@@ -391,19 +392,19 @@ class TestSieve:
         dps, p_max = 50, 300
         a = min(ind for _, ind in zeta_factorization(G).entries)
         s = Fraction(3, 2 * a)
-        value, terms = sieve_to_surjective(G, s, p_max, dps)
+        value, terms = sieve_to_surjective(G, s, p_max)
         ref_value, ref_terms = sieve_reference.sieve_to_surjective(G, s, p_max, dps)
         with mp.workdps(dps):
             assert _close(value, ref_value)
             assert [t[:2] for t in terms] == [t[:2] for t in ref_terms]
             assert all(_close(t[2], r[2]) for t, r in zip(terms, ref_terms))
-            est = residue_main_term(G, p_max, dps)
+            est = residue_main_term(G, p_max)
             ref = sieve_reference.residue_main_term(G, p_max, dps)
             assert [m for m, _ in est.checkpoints] == [m for m, _ in ref]
             assert all(_close(v, r) for (_, v), (_, r) in zip(est.checkpoints, ref))
             for d in sorted({ind for _, ind in zeta_factorization(G).entries}):
                 try:
-                    rep = nonvanishing_limit(G, d, p_max, dps)
+                    rep = nonvanishing_limit(G, d, p_max)
                 except UnsupportedCaseError:
                     continue
                 ref = sieve_reference.nonvanishing_limit(G, d, p_max, dps)
@@ -630,6 +631,29 @@ class TestMainTerm:
         assert est.exponent == Fraction(1, 2)
         assert est.log_power == 0
 
+    def test_no_digits_no_zero(self, monkeypatch):
+        # the 127 corrections (1 - u^64) of C2^7 leave each row a relative
+        # bound of 1.35e+11 at 50 digits: the sums within it have no digits,
+        # and reading them as 0 printed a leading 0.0
+        G = make_group([2] * 7)
+        monkeypatch.delenv("MALLE_LAB_PRECISION", raising=False)
+        with pytest.raises(GroupTooLargeError, match=r"bound of 1.35e\+11 at p <= 3 with 60 working"):
+            residue_main_term(G, 300)
+        monkeypatch.setenv("MALLE_LAB_PRECISION", "120")
+        assert mp.nstr(residue_main_term(G, 300).leading, 15) == "4.14954844695731e-539"
+
+
+class TestPrecisionVariable:
+    def test_governs_every_evaluator_within_one_process(self, monkeypatch):
+        values = []
+        for digits in ("30", "80"):
+            monkeypatch.setenv("MALLE_LAB_PRECISION", digits)
+            est = residue_main_term(make_group([3]), 2000)
+            values.append((dedekind_zeta_residue(3), est.leading))
+        for low, high in zip(*values):
+            assert abs(low - high) < mp.mpf(10) ** -25 * abs(high)
+            assert low != high  # a stale 30-digit cache entry would give the same mpf
+
 
 class TestNonvanishing:
     def test_c4_positive(self):
@@ -696,7 +720,7 @@ class TestPinnedDigits:
 
     def test_c3_residual_product(self):
         state = euler_product_truncated(
-            make_group([3]), Fraction(3, 4), 2000, "residual", dps=50
+            make_group([3]), Fraction(3, 4), 2000, "residual"
         )
         assert mp.nstr(state.value, 30) == "0.744174289975863758886889600774"
         assert _digits(state.checkpoints) == [
@@ -733,7 +757,7 @@ class TestPinnedDigits:
         ]
 
     def test_c4_full_product(self):
-        state = euler_product_truncated(make_group([4]), Fraction(3, 2), 30, dps=50)
+        state = euler_product_truncated(make_group([4]), Fraction(3, 2), 30)
         assert mp.nstr(state.value, 30) == "1.07224584292580226546549661547"
         assert _digits(state.checkpoints) == [
             (2, "1.01957440837287515548854985622"),
@@ -754,7 +778,7 @@ class TestPinnedDigits:
         ]
 
     def test_klein_sieve(self):
-        value, terms = sieve_to_surjective(make_group([2, 2]), Fraction(3, 2), 500, dps=50)
+        value, terms = sieve_to_surjective(make_group([2, 2]), Fraction(3, 2), 500)
         assert mp.nstr(value, 30) == "0.0109006925122641950391069719988"
         c2 = ("H(order=2;orders=1+2)", -1, "1.07079292857390929723319735056")
         assert [(label, mu, mp.nstr(v, 30)) for label, mu, v in terms] == [
@@ -766,7 +790,7 @@ class TestPinnedDigits:
         ]
 
     def test_c2_residue(self):
-        est = residue_main_term(make_group([2]), 10**4, dps=50)
+        est = residue_main_term(make_group([2]), 10**4)
         assert _digits(est.checkpoints) == [
             (100, "0.608974022064020188426251301322"),
             (1000, "0.60800371009990369352745741945"),
@@ -774,7 +798,7 @@ class TestPinnedDigits:
         ]
 
     def test_nonvanishing_c6_case_iii(self):
-        rep = nonvanishing_limit(make_group([6]), 4, 3000, dps=50)
+        rep = nonvanishing_limit(make_group([6]), 4, 3000)
         assert _digits(rep.checkpoints) == [
             (30, "-3.64301298417476430714572629504"),
             (300, "-7.52291888554893349627109099392"),
@@ -782,7 +806,7 @@ class TestPinnedDigits:
         ]
 
     def test_nonvanishing_c4(self):
-        rep = nonvanishing_limit(make_group([4]), 3, 3000, dps=50)
+        rep = nonvanishing_limit(make_group([4]), 3, 3000)
         assert _digits(rep.checkpoints) == [
             (30, "0.3788440558490390740574285379"),
             (300, "0.696795693738653184880627445132"),
