@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .groups import (
     AbelianGroup,
-    GroupTooLargeError,
+    BudgetExceededError,
     aut_order,
     element_order,
     make_group,

@@ -21,10 +21,10 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .groups import GroupTooLargeError, parse_group_literal
+from .groups import BudgetExceededError, parse_group_literal
 from .invariants import GaloisActionSpec, WeightFn, invariant_summary
 from .numerics import precision_digits
-from .oracle import BudgetExceededError, count_surjections
+from .oracle import count_surjections
 from .series import (
     euler_product_truncated,
     nonvanishing_limit,
@@ -239,10 +239,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="malle-lab",
         description="Counting invariants, power-saving bounds, Euler products, "
         "and brute-force oracles for abelian extensions of Q. "
-        "Measured count capacities (median of three CLI runs): C2 to X = 1e6 in 0.24 s "
-        "and to 4.9e7 (the node budget's sieve bound) in 3.2 s, C4 to 1e10 in 0.23 s, "
-        "C6 to 1e9 in 0.22 s, C3 to 1e12 in 0.29 s, C2xC2 to 1e12 in 0.62 s, "
-        "C2xC4 to 1e22 in 0.30 s, C2xC2xC2 to 1e19 in 1.0 s, C2^8 to 1e57 in 0.63 s.",
+        "Measured count capacities (median of three CLI runs): C2 to X = 1e6 in 0.30 s "
+        "and to 4.9e7 (the node budget's sieve bound) in 2.6 s, C4 to 1e10 in 0.15 s, "
+        "C6 to 1e9 in 0.15 s, C3 to 1e12 in 0.19 s, C2xC2 to 1e12 in 0.51 s, "
+        "C2xC4 to 1e22 in 0.25 s, C2xC2xC2 to 1e19 in 1.46 s, C2^8 to 1e57 in 0.76 s.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -335,8 +335,8 @@ def run(argv: list[str]) -> int:
         if payload is not None:
             _emit(payload, started, argv)
         return 0
-    except (GroupTooLargeError, BudgetExceededError, MemoryError) as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as exc:
+        print(f"budget error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # OSError: a file named on the command line
         print(f"usage error: {exc}", file=sys.stderr)

@@ -29,8 +29,8 @@ SIEVE_TERMS_CAP = 100_000
 Element = tuple[int, ...]
 
 
-class GroupTooLargeError(ValueError):
-    """An operation would enumerate a group beyond the configured cap."""
+class BudgetExceededError(RuntimeError):
+    """A computation would pass one of its caps or budgets; the CLI exits 3."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class AbelianGroup:
 
 def _check_cap(G: AbelianGroup) -> None:
     if G.order > ENUMERATION_CAP:
-        raise GroupTooLargeError(
+        raise BudgetExceededError(
             f"|G| = {G.order} exceeds the enumeration cap {ENUMERATION_CAP}"
         )
 
@@ -211,7 +211,7 @@ def sieve_terms(G: AbelianGroup) -> tuple[tuple[AbelianGroup, int], ...]:
     counted = _sieve_type_counts(G)
     total = sum(count for _, count, _ in counted)
     if total > SIEVE_TERMS_CAP:
-        raise GroupTooLargeError(
+        raise BudgetExceededError(
             f"{G} has {total} sieve subgroups, above the cap {SIEVE_TERMS_CAP}"
         )
     return tuple(term for H, count, mu in counted for term in [(H, mu)] * count)

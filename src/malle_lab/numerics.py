@@ -42,9 +42,10 @@ def integer_root(x: int, k: int) -> int:
     """Largest r with r^k <= x, exact for x of any size.
 
     An even k takes ``math.isqrt`` first: r^(k/2) <= isqrt(x) exactly when
-    r^k <= x.  For odd k a float root of the top 64 bits of x, taken a
-    little high, seeds integer Newton steps, which decrease from any r
-    above the root and stop at the largest r with r^k <= x.
+    r^k <= x.  Once 2^k passes x the root is 1.  Otherwise a float root of
+    the top 64 bits of x, taken a little high, seeds integer Newton steps,
+    which decrease from any r above the root and stop at the largest r with
+    r^k <= x.
     """
     if x < 0 or k < 1:
         raise ValueError("integer_root expects x >= 0 and k >= 1")
@@ -52,6 +53,8 @@ def integer_root(x: int, k: int) -> int:
         x, k = math.isqrt(x), k // 2
     if k == 1 or x < 2:
         return x
+    if k >= x.bit_length():
+        return 1
     shift = max(0, x.bit_length() - 64) // k * k
     seed = ((x >> shift) + 1) ** (1.0 / k) * (1 + 2.0**-40)
     r = (int(seed) + 1) << (shift // k)
@@ -63,16 +66,7 @@ def integer_root(x: int, k: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 @lru_cache(maxsize=None)

@@ -29,7 +29,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, islice, product, repeat
 from operator import and_, attrgetter, mul, sub
 
-from .groups import AbelianGroup, Element, aut_order
+from .groups import AbelianGroup, BudgetExceededError, Element, aut_order
 from .numerics import (
     factorize,
     integer_root,
@@ -39,10 +39,6 @@ from .numerics import (
 )
 
 DEFAULT_NODE_BUDGET = 50_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """Enumeration grew past the configured node budget."""
 
 
 # A local component at p is (p, k, exps): exponents of the character on the

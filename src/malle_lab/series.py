@@ -66,7 +66,7 @@ from mpmath import mp
 
 from .groups import (
     AbelianGroup,
-    GroupTooLargeError,
+    BudgetExceededError,
     Histogram,
     element_orders,
     sieve_terms,
@@ -326,7 +326,7 @@ def _euler_products(
     if p_max < 2:
         raise ValueError(f"p_max = {p_max} takes no prime; it must be at least 2")
     if p_max > EULER_PRIME_CAP:
-        raise GroupTooLargeError(f"prime bound {p_max} exceeds the cap {EULER_PRIME_CAP}")
+        raise BudgetExceededError(f"prime bound {p_max} exceeds the cap {EULER_PRIME_CAP}")
     W = mp.prec + GUARD_BITS
     one, top = 1 << W, 1 << (s.denominator * W)
     mants, exps = [one] * len(rows), [-W] * len(rows)
@@ -449,7 +449,7 @@ def series_coefficients(
     largest root of n_max that a pass uses.
     """
     if n_max > COEFFICIENT_CAP:
-        raise GroupTooLargeError(f"coefficient bound {n_max} exceeds the cap")
+        raise BudgetExceededError(f"coefficient bound {n_max} exceeds the cap")
     if n_max < 1:
         raise ValueError("the coefficient bound must be at least 1")
     rows = sieve_types(G) if surjective else ((element_orders(G), 1),)
@@ -530,7 +530,7 @@ def _sieve_sums(G: AbelianGroup, s: Fraction, p_max: int, parts):
     the product by the weight, is exactly 0; such sums occur where the
     primes so far admit no surjection.  If a row of nonzero weight states a
     bound of 1 or more, such a sum has no digits and raises
-    GroupTooLargeError instead.
+    BudgetExceededError instead.
     """
     rows = [row for part in parts for row in part]
     bounds: list = []
@@ -548,7 +548,7 @@ def _sieve_sums(G: AbelianGroup, s: Fraction, p_max: int, parts):
                 continue
             worst = max((error for weight, _, error in own if weight), default=0)
             if worst >= 1:
-                raise GroupTooLargeError(
+                raise BudgetExceededError(
                     f"a sieve row states a relative bound of {mp.nstr(worst, 3)} at p <= {mark} "
                     f"with {mp.dps} working digits; raise MALLE_LAB_PRECISION"
                 )

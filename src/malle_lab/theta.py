@@ -27,12 +27,13 @@ is pickled.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .groups import AbelianGroup, Element, GroupTooLargeError, element_orders
+from .groups import AbelianGroup, BudgetExceededError, Element, element_orders
 from .invariants import (
     GaloisActionSpec,
     OrbitData,
@@ -280,12 +281,23 @@ class ScanRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ScanReport:
+    """The scan's rows, with the criterion (i) rows tallied by n mod 12 and the
+    criterion (ii) rows by non-vanishing case."""
+
     n_max: int
     model_kind: str
     composite_count: int
-    count_i: int
-    count_ii: int
+    flag_ii_by_case: dict[str, int]
+    flag_i_by_n_mod_12: dict[int, int]
     rows: tuple[ScanRow, ...]
+
+    @property
+    def count_i(self) -> int:
+        return sum(self.flag_i_by_n_mod_12.values())
+
+    @property
+    def count_ii(self) -> int:
+        return sum(self.flag_ii_by_case.values())
 
     @property
     def fraction_i(self) -> float:
@@ -304,6 +316,8 @@ class ScanReport:
             "count_ii": self.count_ii,
             "fraction_i": self.fraction_i,
             "fraction_ii": self.fraction_ii,
+            "flag_ii_by_case": dict(self.flag_ii_by_case),
+            "flag_i_by_n_mod_12": {str(k): v for k, v in sorted(self.flag_i_by_n_mod_12.items())},
         }
 
 
@@ -388,14 +402,14 @@ def scan_cyclic(
     zeta-order hook since every index of a cyclic group has b_d = 1).
     The n run in blocks of at most SCAN_BLOCK on min(jobs, blocks) worker
     processes, or serially when that is 1; n_max above SCAN_CAP raises
-    GroupTooLargeError.
+    BudgetExceededError.
     """
     if n_max < 4:
         raise ValueError("scan needs n_max >= 4")
     if jobs < 1:
         raise ValueError(f"jobs = {jobs} must be at least 1")
     if n_max > SCAN_CAP:
-        raise GroupTooLargeError(f"scan bound {n_max} exceeds the cap {SCAN_CAP}")
+        raise BudgetExceededError(f"scan bound {n_max} exceeds the cap {SCAN_CAP}")
     model = model or SubconvexityModel.soehne()
     slope = model.slope()
     cn, cd = slope.numerator, slope.denominator
@@ -413,9 +427,11 @@ def scan_cyclic(
     else:
         for block in blocks:
             rows += map(ScanRow._make, _scan_block(*block, phi))
-    count_i = sum(r.flag_i for r in rows)
-    count_ii = sum(r.case != "none" for r in rows)
-    return ScanReport(n_max, model.kind, len(rows), count_i, count_ii, tuple(rows))
+    flagged = [r for r in rows if r.flag_i]  # criterion (ii) rows are among them
+    by_case = Counter(r.case for r in flagged)
+    del by_case["none"]
+    by_n_mod_12 = Counter(r.n % 12 for r in flagged)
+    return ScanReport(n_max, model.kind, len(rows), dict(by_case), dict(by_n_mod_12), tuple(rows))
 
 
 _CSV_TAILS = {

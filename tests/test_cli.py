@@ -3,6 +3,7 @@ import io
 import json
 import os
 import time
+from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
@@ -11,7 +12,7 @@ import scan_reference
 
 from malle_lab import cli, series, theta
 from malle_lab.cli import run
-from malle_lab.oracle import BudgetExceededError
+from malle_lab.groups import BudgetExceededError
 
 
 def invoke(argv):
@@ -99,6 +100,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "count_surjections", over_budget)
         assert invoke(["count", "C2", "--X", "10"])[0] == 3
 
+    def test_empty_memory_error_names_its_type(self, monkeypatch, capsys):
+        # a bare MemoryError has no message: "budget error: " said nothing
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "count_surjections", out_of_memory)
+        assert invoke(["count", "C2", "--X", "10"])[0] == 3
+        assert capsys.readouterr().err == "budget error: MemoryError\n"
+
     def test_oracle_sieve_past_the_budget(self):
         # the sieve bound 10^9 is past the default node budget, so the count
         # exits 3 before any prime is sieved
@@ -117,6 +127,13 @@ class TestExitCodes:
         # a nontrivial local hom into C20011 multiplies disc by p^20010, so no
         # prime fits under 10^12 and nothing of the group is enumerated
         assert payload(["count", "C20011", "--X", "1000000000000"])["surjections"] == 0
+
+    def test_count_of_a_huge_prime_cyclic_group(self):
+        # the sieve bound is the (10^12 + 38)-th root of 10; a Newton step
+        # from 2 built 2^(5 * 10^11) and ran out of memory
+        start = time.perf_counter()
+        assert payload(["count", "C1000000000039", "--X", "10"])["fields"] == 0
+        assert time.perf_counter() - start < 5
 
     def test_count_of_a_large_prime_cyclic_group_under_ram(self):
         # 10,006 nontrivial homs at each of 7 primes, all onto C10007
@@ -177,11 +194,24 @@ class TestScan:
     def test_summary_and_csv(self, tmp_path):
         out = tmp_path / "scan.csv"
         doc = payload(["scan-cyclic", "--max", "200", "--out", str(out), "--jobs", "1"])
-        assert doc["composite_count"] == 152
+        assert set(doc) == {
+            "n_max", "model", "composite_count", "count_i", "count_ii", "fraction_i",
+            "fraction_ii", "flag_ii_by_case", "flag_i_by_n_mod_12", "csv", "manifest",
+        }
+        assert doc["composite_count"] == 152 and doc["csv"] == str(out)
+        assert doc["flag_ii_by_case"] == {"case_ii": 46, "case_iii": 17}
+        assert doc["flag_i_by_n_mod_12"] == {
+            "0": 16, "3": 4, "4": 14, "5": 1, "6": 17, "7": 4, "8": 13, "9": 3, "11": 2,
+        }
         with open(out) as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 152
         assert rows[0]["n"] == "4" and rows[0]["theta"] == "5/16"
+        # the tallies split the flagged rows of the CSV
+        flag_i = Counter(str(int(r["n"]) % 12) for r in rows if r["flag_i"] == "1")
+        flag_ii = Counter(r["case"] for r in rows if r["flag_ii"] == "1")
+        assert doc["flag_i_by_n_mod_12"] == flag_i and sum(flag_i.values()) == doc["count_i"]
+        assert doc["flag_ii_by_case"] == flag_ii and sum(flag_ii.values()) == doc["count_ii"]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_csv_bytes_match_reference(self, tmp_path, jobs):

@@ -21,7 +21,7 @@ from sieve_reference import sieve_subgroups, subgroup_invariant_factors
 from malle_lab.groups import (
     SIEVE_TERMS_CAP,
     AbelianGroup,
-    GroupTooLargeError,
+    BudgetExceededError,
     _sieve_type_counts,
     aut_order,
     element_order,
@@ -108,9 +108,9 @@ class TestSubgroups:
                     assert G.add(a, b) in H.elements
 
     def test_cap(self):
-        with pytest.raises(GroupTooLargeError):
+        with pytest.raises(BudgetExceededError):
             subgroup_lattice(make_group([10007 + 1]))  # 10008 > cap
-        with pytest.raises(GroupTooLargeError):
+        with pytest.raises(BudgetExceededError):
             sieve_terms(make_group([10007 + 1]))
 
     def test_equality_ignores_generators(self):
@@ -289,7 +289,7 @@ class TestSieveTerms:
             if total <= SIEVE_TERMS_CAP:
                 assert len(sieve_terms(G)) == total
             else:
-                with pytest.raises(GroupTooLargeError, match="sieve subgroups"):
+                with pytest.raises(BudgetExceededError, match="sieve subgroups"):
                     sieve_terms(G)
 
     def test_order_by_size_then_type(self):

@@ -1,3 +1,5 @@
+import time
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,3 +25,13 @@ def test_integer_root_large_exact_powers():
     assert integer_root(2**1100, 4) == 2**275
     assert integer_root(3**2000, 16) == 3**125
     assert integer_root(3**2000 - 1, 16) == 3**125 - 1
+
+
+def test_integer_root_past_the_bit_length():
+    # a Newton step from r = 2 built 2^(k - 1) first: 5 s at k = 10^9 + 7
+    start = time.perf_counter()
+    assert integer_root(3, 10**9 + 7) == 1
+    assert time.perf_counter() - start < 0.5
+    for x in (2, 3, 2**64 - 1):
+        for k in (x.bit_length(), x.bit_length() + 1, 2 * x.bit_length() + 1):
+            assert integer_root(x, k) == 1

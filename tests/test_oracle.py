@@ -8,15 +8,10 @@ import pytest
 
 from dual_sum_reference import dual_sum_exponent, local_homs
 from malle_lab import groups, oracle
-from malle_lab.groups import make_group
+from malle_lab.groups import BudgetExceededError, make_group
 from malle_lab.invariants import invariant_summary
 from malle_lab.numerics import euler_phi, factorize, is_prime, unit_group_components
-from malle_lab.oracle import (
-    BudgetExceededError,
-    DirichletCharacter,
-    characters_up_to,
-    count_surjections,
-)
+from malle_lab.oracle import DirichletCharacter, characters_up_to, count_surjections
 
 
 class TestUnitGroups:

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+import constants_reference
 import sieve_reference
 from conftest import all_abelian_groups
 from lattice_bfs import full_subgroup, histogram, moebius_subgroup, span, subgroup_lattice
 from malle_lab.groups import (
-    GroupTooLargeError,
+    BudgetExceededError,
     element_order,
     element_orders,
     make_group,
@@ -300,7 +301,7 @@ class TestEulerProduct:
             lambda: nonvanishing_limit(G, 1, p_max),
             lambda: sieve_to_surjective(G, 2, p_max),
         ):
-            with pytest.raises(GroupTooLargeError, match="prime bound"):
+            with pytest.raises(BudgetExceededError, match="prime bound"):
                 call()
 
     def test_caches_hold_one_entry_per_row_and_class(self):
@@ -558,9 +559,7 @@ class TestCoefficients:
         assert 1 not in coeffs
 
     def test_cap(self):
-        from malle_lab.groups import GroupTooLargeError
-
-        with pytest.raises(GroupTooLargeError):
+        with pytest.raises(BudgetExceededError):
             series_coefficients(make_group([2]), 10**7)
 
 
@@ -631,13 +630,24 @@ class TestMainTerm:
         assert est.exponent == Fraction(1, 2)
         assert est.log_power == 0
 
+    def test_prime_cyclic_constants_from_conductors(self):
+        # R_l from the conductors of cyclic degree-l fields shares only the
+        # zeta residue with the program; the truncation at P leaves well
+        # under 1/P, relative (0.15/P to 0.39/P measured)
+        assert abs(constants_reference.cohn_c3() / constants_reference.conductor_constant(3) - 1) < 1e-6
+        for l in (3, 5, 7):
+            R = constants_reference.conductor_constant(l)
+            for p_max in (10**4, 10**5):
+                leading = float(residue_main_term(make_group([l]), p_max).leading)
+                assert abs(leading - R) < R / p_max, (l, p_max)
+
     def test_no_digits_no_zero(self, monkeypatch):
         # the 127 corrections (1 - u^64) of C2^7 leave each row a relative
         # bound of 1.35e+11 at 50 digits: the sums within it have no digits,
         # and reading them as 0 printed a leading 0.0
         G = make_group([2] * 7)
         monkeypatch.delenv("MALLE_LAB_PRECISION", raising=False)
-        with pytest.raises(GroupTooLargeError, match=r"bound of 1.35e\+11 at p <= 3 with 60 working"):
+        with pytest.raises(BudgetExceededError, match=r"bound of 1.35e\+11 at p <= 3 with 60 working"):
             residue_main_term(G, 300)
         monkeypatch.setenv("MALLE_LAB_PRECISION", "120")
         assert mp.nstr(residue_main_term(G, 300).leading, 15) == "4.14954844695731e-539"

@@ -13,7 +13,7 @@ import pytest
 import scan_reference
 from conftest import all_abelian_groups, random_abelian_group
 from malle_lab import theta
-from malle_lab.groups import GroupTooLargeError, make_group
+from malle_lab.groups import BudgetExceededError, make_group
 from malle_lab.invariants import (
     GaloisActionSpec,
     WeightFn,
@@ -543,7 +543,7 @@ class TestScan:
 
         monkeypatch.setattr(theta, "_phi_sieve", no_sieve)
         for jobs in (1, 2):
-            with pytest.raises(GroupTooLargeError, match="exceeds the cap"):
+            with pytest.raises(BudgetExceededError, match="exceeds the cap"):
                 scan_cyclic(SCAN_CAP + 1, jobs=jobs)
 
     def test_rejects_custom_model(self):
