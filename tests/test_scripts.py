@@ -1,5 +1,5 @@
-"""The experiment script under scripts/ and the benchmark's job runner run
-end to end and print their JSON."""
+"""The experiment script under scripts/, the scan-cyclic command and the
+benchmark's job runner run end to end and print their JSON."""
 
 import json
 import os
@@ -11,20 +11,50 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(tmp_path, script: str, *args: str, folder: str = "scripts") -> str:
+    return _python(tmp_path, str(ROOT / folder / script), *args)
+
+
+def _python(tmp_path, *args: str, returncode: int = 0) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, str(ROOT / folder / script), *args],
+        [sys.executable, *args],
         cwd=tmp_path,
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == returncode, done.stderr
     return done.stdout
+
+
+def test_run_scan(tmp_path):
+    # the scan-cyclic command replaced scripts/run_scan.py: its summary keeps
+    # the script's tallies, and its CSV one row per composite
+    out = tmp_path / "scan.csv"
+    stdout = _python(
+        tmp_path, "-m", "malle_lab.cli", "scan-cyclic", "--max", "500", "--jobs", "2",
+        "--out", str(out),
+    )
+    summary = json.loads(stdout)
+    assert set(summary) == {
+        "n_max", "model", "composite_count", "count_i", "count_ii", "fraction_i",
+        "fraction_ii", "flag_ii_by_case", "flag_i_by_n_mod_12", "csv", "manifest",
+    }
+    assert summary["n_max"] == 500 and summary["csv"] == str(out)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "n,a,d2,theta,flag_i,flag_ii,case"
+    assert len(lines) == summary["composite_count"] + 1
+
+
+def test_run_scan_rejects_jobs_below_one(tmp_path):
+    _python(
+        tmp_path, "-m", "malle_lab.cli", "scan-cyclic", "--max", "500", "--jobs", "0",
+        returncode=2,
+    )
 
 
 def test_main_term_regression(tmp_path):
