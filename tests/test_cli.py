@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ from contextlib import redirect_stdout
 import pytest
 
 import scan_reference
+from test_scripts import _python
 
 from malle_lab import cli, series, theta
 from malle_lab.cli import run
@@ -362,3 +364,73 @@ class TestPrecisionEnv:
             assert doc["manifest"]["precision"] == 30
         finally:
             del os.environ["MALLE_LAB_PRECISION"]
+
+
+def _without_wall_time(out: str) -> str:
+    if not out:
+        return out
+    doc = json.loads(out)
+    del doc["manifest"]["wall_time_s"]
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestSharedParser:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_runs_build_no_parser_after_the_first(self, monkeypatch):
+        invoke(["theta", "C3"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in (["theta", "C3"], ["invariants", "C4"], ["count", "C4", "--X", "1000"]):
+            assert invoke(argv)[0] == 0
+        assert built == []
+
+    def test_import_builds_no_parser(self, tmp_path):
+        # a fresh interpreter: importing the CLI costs no parser, the first build does
+        code = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "from malle_lab import cli\n"
+            "print(len(built))\n"
+            "cli.build_parser()\n"
+            "print(len(built))\n"
+        )
+        on_import, on_build = map(int, _python(tmp_path, "-c", code).split())
+        assert on_import == 0 and on_build > 0
+
+    def test_runs_leave_no_state_in_the_parser(self, tmp_path, monkeypatch, capsys):
+        histogram = str(tmp_path / "hist.csv")
+        sequence = [
+            ["count", "C4"],  # --X is required: exit 2
+            ["count", "C4", "--X", "1000", "--histogram", histogram],
+            ["count", "C4", "--X", "1000"],
+            ["tauberian", "exponent", "--sigma", "1", "--delta", "1/2", "--xi", "0", "--k", "1"],
+            ["theta", "C3"],
+        ]
+
+        def outcomes():
+            rows = []
+            for argv in sequence:
+                code, out = invoke(argv)
+                rows.append((code, _without_wall_time(out), capsys.readouterr().err))
+            return rows
+
+        shared = outcomes()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = outcomes()
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0]
+        assert json.loads(shared[1][1])["histogram_csv"] == histogram
+        assert "histogram_csv" not in json.loads(shared[2][1])

@@ -1,9 +1,10 @@
+import math
 import time
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from malle_lab.numerics import integer_root
+from malle_lab.numerics import integer_root, primes_up_to
 
 
 @given(st.integers(min_value=0, max_value=2**4000), st.integers(min_value=1, max_value=16))
@@ -35,3 +36,22 @@ def test_integer_root_past_the_bit_length():
     for x in (2, 3, 2**64 - 1):
         for k in (x.bit_length(), x.bit_length() + 1, 2 * x.bit_length() + 1):
             assert integer_root(x, k) == 1
+
+
+def _primes_by_trial_division(n):
+    return [m for m in range(2, n + 1) if all(m % q for q in range(2, math.isqrt(m) + 1))]
+
+
+@given(st.integers(min_value=0, max_value=5000))
+def test_primes_up_to_matches_trial_division(n):
+    assert primes_up_to(n) == _primes_by_trial_division(n)
+
+
+def test_primes_up_to_small_edges():
+    assert [primes_up_to(n) for n in range(5)] == [[], [], [2], [2, 3], [2, 3]]
+
+
+def test_primes_up_to_a_million():
+    primes = primes_up_to(10**6)
+    assert len(primes) == 78_498
+    assert primes[-1] == 999_983
