@@ -2,7 +2,9 @@
 
 The zeta function of the m-th cyclotomic field factors over the characters
 mod m into the L-functions of their primitive characters.  The characters
-are the oracle's :class:`~malle_lab.oracle.DirichletCharacter`; each
+are the oracle's :class:`~malle_lab.oracle.DirichletCharacter`, whose
+conductor and order are read from its components; they serve these values
+and the test suite's reference counts, and no oracle count builds one.  Each
 L-function is evaluated from the character's value table through Hurwitz
 zeta sums (Euler-Maclaurin under the hood), so real points inside the
 critical strip and residues at 1 are both available to high precision.

@@ -12,9 +12,11 @@ types prime by prime, keyed by the bit mask of the maximal subgroups that
 hold their images, with no field arithmetic, no subgroup, no character
 objects and no list of the elements of G.
 
-Dirichlet characters, stored by prime-power local components on coherent
-unit group generators so that multiplication, conductors and primitivity
-are componentwise, serve the L-values (``_local_invariants``).
+Dirichlet characters serve the L-values of ``lvalues`` and the test
+suite's reference counts; no count builds one.  A character is stored by
+its prime-power local components on coherent unit group generators, so
+that multiplication and primitivity are componentwise, and its conductor
+and order are read from the components (``_local_invariants``).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, islice, product, repeat
@@ -57,6 +59,7 @@ def _local_orders(p: int, k: int) -> tuple[int, ...]:
     return ((p - 1) * p ** (k - 1),)
 
 
+@lru_cache(maxsize=None)
 def _local_invariants(p: int, k: int, exps: tuple[int, ...]) -> tuple[int, int]:
     """(conductor, order) of the local component with exponents exps mod p^k."""
     if p != 2:
@@ -82,74 +85,54 @@ def _local_invariants(p: int, k: int, exps: tuple[int, ...]) -> tuple[int, int]:
 class DirichletCharacter:
     """Finite-order character of (Z/q)^*, stored by prime-power components.
 
-    The conductor and the order are computed once, when the character is
-    built; equality and hashing see only the components.
+    The conductor and the order are read from the components, one
+    ``_local_invariants`` per component.
     """
 
     components: tuple[tuple[int, int, tuple[int, ...]], ...]
-    _conductor: int = field(init=False, compare=False, repr=False)
-    _order: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        cond = 1
-        order = 1
-        for p, k, exps in self.components:
-            f, o = _local_invariants(p, k, exps)
-            cond *= f
-            order = math.lcm(order, o)
-        object.__setattr__(self, "_conductor", cond)
-        object.__setattr__(self, "_order", order)
 
     @property
     def modulus(self) -> int:
-        return math.prod(p**k for p, k, _ in self.components) if self.components else 1
+        return math.prod(p**k for p, k, _ in self.components)
 
     @property
     def conductor(self) -> int:
-        return self._conductor
+        return math.prod(_local_invariants(*comp)[0] for comp in self.components)
 
     @property
     def order(self) -> int:
-        return self._order
+        return math.lcm(*(_local_invariants(*comp)[1] for comp in self.components))
 
     def is_trivial(self) -> bool:
         return self.order == 1
 
     def ramified_primes(self) -> tuple[int, ...]:
-        return tuple(
-            p for p, k, exps in self.components if _local_invariants(p, k, exps)[0] > 1
-        )
+        return tuple(comp[0] for comp in self.components if _local_invariants(*comp)[0] > 1)
 
     def mul(self, other: "DirichletCharacter") -> "DirichletCharacter":
         by_p: dict[int, tuple[int, tuple[int, ...]]] = {}
         for p, k, exps in self.components + other.components:
-            if p not in by_p:
-                by_p[p] = (k, exps)
-                continue
-            by_p[p] = _local_product(p, *by_p[p], k, exps)
+            by_p[p] = _local_product(p, *by_p[p], k, exps) if p in by_p else (k, exps)
         return _primitive_of((p, k, exps) for p, (k, exps) in by_p.items())
 
     def power(self, e: int) -> "DirichletCharacter":
         if e == 1:
             return self.primitive()
-        comps = []
-        for p, k, exps in self.components:
-            orders = _local_orders(p, k)
-            comps.append((p, k, tuple((x * e) % n for x, n in zip(exps, orders))))
-        return _primitive_of(comps)
+        return _primitive_of(
+            (p, k, tuple(x * e % n for x, n in zip(exps, _local_orders(p, k))))
+            for p, k, exps in self.components
+        )
 
     def primitive(self) -> "DirichletCharacter":
-        if self._conductor == self.modulus:
+        if self.conductor == self.modulus:
             return self
         return _primitive_of(self.components)
 
     def generator_values(self) -> tuple[tuple[int, int], ...]:
         """Values on the unit-group generators as (order, exponent) pairs."""
-        out = []
-        for p, k, exps in self.components:
-            for e, n in zip(exps, _local_orders(p, k)):
-                out.append((n, e % n))
-        return tuple(out)
+        return tuple(
+            (n, e % n) for p, k, exps in self.components for e, n in zip(exps, _local_orders(p, k))
+        )
 
     def angles(self) -> tuple[tuple[int, Fraction], ...]:
         """Values on the units a mod the conductor as sorted pairs (a, angle).
@@ -160,50 +143,32 @@ class DirichletCharacter:
         """
         prim = self.primitive()
         f = prim.conductor
-        if f == 1:
-            return ((1, Fraction(0)),)
-        table = [(1, Fraction(0))]
-        gens = unit_group_components(f)
-        for (_, _, g, _), (n, e) in zip(gens, prim.generator_values()):
+        values = prim.generator_values()
+        top = math.lcm(*(n for n, _ in values))  # angles are walked as numerators over top
+        table = [(1, 0)]
+        for (_, _, g, _), (n, e) in zip(unit_group_components(f), values):
             walked = []
             for a, angle in table:
-                for x in range(n):
-                    walked.append((a, (angle + Fraction(e * x, n)) % 1))
+                for _ in range(n):
+                    walked.append((a, angle))
                     a = a * g % f
+                    angle = (angle + e * (top // n)) % top
             table = walked
-        return tuple(sorted(table))
-
-
-def _assembled(components: tuple, conductor: int, order: int) -> DirichletCharacter:
-    """A primitive character whose conductor and order the caller already knows."""
-    chi = object.__new__(DirichletCharacter)
-    object.__setattr__(chi, "components", components)
-    object.__setattr__(chi, "_conductor", conductor)
-    object.__setattr__(chi, "_order", order)
-    return chi
+        return tuple(sorted((a, Fraction(angle, top)) for a, angle in table))
 
 
 def _primitive_of(components) -> DirichletCharacter:
     """The primitive character of the given components, in sorted order."""
     comps = []
-    cond = 1
-    order = 1
     for p, k, exps in sorted(components):
-        f, o = _local_invariants(p, k, exps)
+        f = _local_invariants(p, k, exps)[0]
         if f == 1:
             continue
-        if f != p**k:
-            k_f = 0
-            ff = f
-            while ff > 1:
-                ff //= p
-                k_f += 1
-            exps = _shrink(p, k, exps, k_f)
-            k = k_f
-        comps.append((p, k, exps))
-        cond *= f
-        order = math.lcm(order, o)
-    return _assembled(tuple(comps), cond, order)
+        k_f = 1
+        while p**k_f < f:
+            k_f += 1
+        comps.append((p, k_f, _shrink(p, k, exps, k_f)))
+    return DirichletCharacter(tuple(comps))
 
 
 def _lift(p: int, k_from: int, exps: tuple[int, ...], k_to: int) -> tuple[int, ...]:
@@ -264,11 +229,7 @@ def _local_primitive_atoms(p: int, k: int, e: int) -> tuple[DirichletCharacter, 
     elif k == 2:
         if e % 2 == 0:
             out.append(DirichletCharacter(((2, 2, (1,)),)))
-    elif k == 3:
-        if e % 2 == 0:
-            out.append(DirichletCharacter(((2, 3, (0, 1)),)))
-            out.append(DirichletCharacter(((2, 3, (1, 1)),)))
-    elif k >= 4:
+    elif k >= 3:
         wild_order = 2 ** (k - 2)
         if e % wild_order == 0:
             for sign in (0, 1):
@@ -280,49 +241,36 @@ def _local_primitive_atoms(p: int, k: int, e: int) -> tuple[DirichletCharacter, 
 def characters_up_to(e: int, f_max: int) -> list[DirichletCharacter]:
     """All primitive nontrivial characters of order dividing e, conductor <= f_max.
 
-    Built multiplicatively from prime-power atoms; the result is sorted by
-    conductor, ties by components.  The atoms of a prime are made only when
-    the enumeration first reaches it.
+    Built multiplicatively from prime-power atoms, one prime after another;
+    the result is sorted by conductor, ties by components.
     """
     if e < 1 or f_max < 1:
         raise ValueError("order and conductor bounds must be positive")
-    primes = iter(primes_up_to(f_max))
-    atoms_by_p: list[tuple[int, list[DirichletCharacter]]] = []
-
-    def atoms_at(i: int) -> tuple[int, list[DirichletCharacter]] | None:
-        """The i-th prime that carries atoms, with its atoms by conductor."""
-        while len(atoms_by_p) <= i:
-            p = next(primes, None)
-            if p is None:
-                return None
-            local: list[DirichletCharacter] = []
-            k = 1
-            while p**k <= f_max:
-                local.extend(_local_primitive_atoms(p, k, e))
-                k += 1
-            if local:
-                local.sort(key=lambda chi: chi.conductor)
-                atoms_by_p.append((p, local))
-        return atoms_by_p[i]
-
+    atoms: list[tuple[int, list[DirichletCharacter]]] = []
+    for p in primes_up_to(f_max):
+        local: list[DirichletCharacter] = []
+        k = 1
+        while p**k <= f_max:  # by ascending conductor p^k
+            local.extend(_local_primitive_atoms(p, k, e))
+            k += 1
+        if local:
+            atoms.append((p, local))
     out: list[DirichletCharacter] = []
 
-    def extend(start: int, comps: tuple, cond: int, order: int) -> None:
+    def extend(start: int, comps: tuple, cond: int) -> None:
         if cond > 1:
-            out.append(_assembled(comps, cond, order))
-        i = start
-        while (entry := atoms_at(i)) is not None:
-            p, local = entry
+            out.append(DirichletCharacter(comps))
+        for i in range(start, len(atoms)):
+            p, local = atoms[i]
             if cond * p > f_max:
                 break
             for atom in local:
                 c = cond * atom.conductor
                 if c > f_max:
                     break
-                extend(i + 1, comps + atom.components, c, math.lcm(order, atom.order))
-            i += 1
+                extend(i + 1, comps + atom.components, c)
 
-    extend(0, (), 1, 1)
+    extend(0, (), 1)
     # characters of one conductor share their (p, k) sequence, and the DFS
     # emits them in component order, so a stable sort by conductor alone
     # gives the order of (conductor, components)
@@ -406,31 +354,43 @@ def _count(
     """
     # a nontrivial phi_p multiplies disc by p^c with c >= |G| - |G|/l, for
     # l the least prime dividing |G|; the primes to the sieve bound count
-    # as nodes, checked before the sieve
+    # as nodes, checked before any sieve
     order, exp, factors = G.order, G.exponent, G.invariant_factors
-    nodes = integer_root(x_bound, order - order // smallest_prime_factor(order)) if disc else x_bound
-    if nodes > node_budget:
-        raise BudgetExceededError(f"sieving to {nodes} exceeds {node_budget} nodes")
-    primes = primes_up_to(nodes)
-    if not primes:
+    bound = integer_root(x_bound, order - order // smallest_prime_factor(order)) if disc else x_bound
+    if bound > node_budget:
+        raise BudgetExceededError(f"sieving to {bound} exceeds {node_budget} nodes")
+    if bound < 2:
         return 0, {}
-    small = bisect_right(primes, exp)
+    over = f"enumeration exceeded {node_budget} nodes"
+
+    def homs(builds: list[tuple[int, int]]) -> int:
+        """The builds' homs, prod_i gcd(n, d_i) images per generator of order n."""
+        return sum(
+            math.prod(math.gcd(n, d) for n in _local_orders(p, k) for d in factors)
+            for p, k in builds
+        )
+
+    # charged before G is listed and before the sieve to the bound: the
+    # (l^r - 1)/(l - 1) maximal subgroups of index l, r the number of d_i
+    # divisible by l, and the builds at primes up to exp G, each hom read
+    # against every maximal subgroup; every hom (Z_p)^* -> G factors through
+    # (Z/p^k)^*, k = v_p(exp G) + 1, one more at 2
+    ells = dict(factorize(exp))
+    kernel_count = sum((l ** sum(d % l == 0 for d in factors) - 1) // (l - 1) for l in ells)
+    primes = primes_up_to(min(exp, bound))
+    small = len(primes)
+    builds = [(p, ells.get(p, 0) + 1 + (p == 2)) for p in primes]
+    nodes = bound + kernel_count * (1 + homs(builds))
+    if nodes > node_budget:
+        raise BudgetExceededError(over)
+    if exp < bound:
+        primes = primes_up_to(bound)
     classes = array("q", map(math.gcd, map(sub, islice(primes, small, None), repeat(1)), repeat(exp)))
     tame_at = {g: primes[small + classes.index(g)] for g in set(classes)}
-    # every hom (Z_p)^* -> G factors through (Z/p^k)^*, k = v_p(exp G) + 1, one more at 2
-    ells = dict(factorize(exp))
-    builds = [(p, ells.get(p, 0) + 1 + (p == 2)) for p in primes[:small]]
-    builds += [(p, 1) for p in tame_at.values()]
-    # charged before G is listed: the (l^r - 1)/(l - 1) maximal subgroups of
-    # index l, r the number of d_i divisible by l, and each build's homs, with
-    # prod_i gcd(n, d_i) images per generator of order n, read against them
-    kernel_count = sum((l ** sum(d % l == 0 for d in factors) - 1) // (l - 1) for l in ells)
-    homs = sum(
-        math.prod(math.gcd(n, d) for n in _local_orders(p, k) for d in factors) for p, k in builds
-    )
-    nodes += kernel_count * (1 + homs)
+    # the tame classes' builds, after the sieve that finds them
+    nodes += kernel_count * homs([(p, 1) for p in tame_at.values()])
     if nodes > node_budget:
-        raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
+        raise BudgetExceededError(over)
     # bit i stands for the maximal subgroup ker psi_i: psi_i has prime order
     # l, and of the l - 1 generators of <psi_i> it is the one whose first
     # nonzero coordinate is d / l
@@ -464,7 +424,7 @@ def _count(
                 found[_disc_exponent(p, k, order, hom) if disc else 1, reduce(and_, held_by)] += 1
         return tuple(sorted((c, h, m) for (c, h), m in found.items()))
 
-    local = [types_at(p, k) for p, k in builds[:small]]
+    local = [types_at(p, k) for p, k in builds]
     tame = {g: types_at(p, 1) for g, p in tame_at.items()}
 
     tame_types = {(c, h) for types in tame.values() for c, h, _ in types}
@@ -496,7 +456,7 @@ def _count(
         nonlocal count, nodes
         nodes += 1
         if nodes > node_budget:
-            raise BudgetExceededError(f"enumeration exceeded {node_budget} nodes")
+            raise BudgetExceededError(over)
         if not state:
             count += mult
             if histogram:
@@ -545,10 +505,11 @@ def count_surjections(
     far, and a tuple is onto when that set is empty.
 
     The primes it sieves, to X^(1/(|G| - |G|/l)) for disc (l the least
-    prime dividing |G|) and to X for ram, count against the node budget,
-    checked before the sieve runs.  Then, before G is listed, the maximal
-    subgroups and each build of local types (homs times maximal subgroups,
-    for a prime up to exp G or a tame class) and each walk node count too.
+    prime dividing |G|) and to X for ram, count against the node budget, and
+    so do the maximal subgroups and the builds of local types at the primes
+    up to exp G (homs times maximal subgroups): all are checked before G is
+    listed and before the sieve to the bound runs.  Then the builds of the
+    tame classes count, and each walk node.
     """
     if x_bound < 1:
         raise ValueError("the bound must be at least 1")

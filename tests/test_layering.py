@@ -15,7 +15,11 @@ The series' orbits are the counted ``cyclotomic_orbits``, so it names none
 of the enumerated orbit forms of ``invariants`` either.
 The precision has one source, MALLE_LAB_PRECISION: no function takes a
 ``dps`` parameter, and only ``lvalues.working_precision`` and the CLI's
-manifest (``cli._emit``) call ``precision_digits``."""
+manifest (``cli._emit``) call ``precision_digits``.
+Within the package Dirichlet characters serve the L-values alone: only
+``oracle``, which defines them, ``lvalues``, which evaluates them, and the
+package's ``__init__`` name the character type, its pools or the trivial
+character."""
 
 import ast
 from pathlib import Path
@@ -43,6 +47,9 @@ ENUMERATED_ORBIT_NAMES = {
     "a_invariant",
     "b_d",
 }
+
+CHARACTER_NAMES = {"DirichletCharacter", "characters_up_to", "TRIVIAL_CHARACTER"}
+CHARACTER_MODULES = {"oracle", "lvalues", "__init__"}
 
 
 def _uses(source: str, names: set[str]) -> list[str]:
@@ -113,6 +120,11 @@ def test_no_element_listing_outside_groups_and_invariants(module):
     assert _uses(_source(module), ELEMENT_LISTING_NAMES) == []
 
 
+@pytest.mark.parametrize("module", sorted(set(MODULES) - CHARACTER_MODULES))
+def test_characters_only_in_oracle_and_lvalues(module):
+    assert _uses(_source(module), CHARACTER_NAMES) == []
+
+
 def test_series_counts_its_orbits():
     assert _uses(_source("series"), ENUMERATED_ORBIT_NAMES) == []
 
@@ -156,6 +168,13 @@ def test_guard_finds_each_form():
         "y = invariants.a_invariant(G, A, W)\n"
     )
     assert sorted(_uses(source, ENUMERATED_ORBIT_NAMES)) == sorted(ENUMERATED_ORBIT_NAMES)
+    source = (
+        "from .oracle import DirichletCharacter as Character, count_surjections\n"
+        "from . import oracle\n"
+        "pool = oracle.characters_up_to(2, 100)\n"
+        "chi = TRIVIAL_CHARACTER\n"
+    )
+    assert sorted(_uses(source, CHARACTER_NAMES)) == sorted(CHARACTER_NAMES)
     source = (
         "def residue_main_term(G, p_max, dps=None): ...\n"
         "def value(m, x, *, dps): ...\n"

@@ -1,5 +1,7 @@
 import math
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 from mpmath import mp
 
@@ -8,6 +10,7 @@ from malle_lab.lvalues import (
     dedekind_zeta_residue,
     dedekind_zeta_value,
 )
+from malle_lab.numerics import divisors, euler_phi, unit_group_components
 from malle_lab.oracle import TRIVIAL_CHARACTER
 
 
@@ -20,7 +23,66 @@ def _value(table: dict, f: int, a: int) -> Fraction:
     return table[a % f if f > 1 else 1]
 
 
+def _reference_characters(m: int) -> tuple[int, list[tuple[int, tuple, tuple[tuple[int, int], ...]]]]:
+    """(conductor, components, angle table) of every character of (Z/m)^*,
+    from the definitions.
+
+    Discrete logs of the units mod m on the generators of
+    ``unit_group_components(m)`` give each character's values; its
+    conductor is the least f | m such that it is 1 on every unit a = 1 mod f,
+    its table on (Z/f)^* is read from those values, and its components are
+    its exponents on the generators of ``unit_group_components(f)``, by
+    prime.  Angles are numerators over the exponent of (Z/m)^*, returned
+    first.
+    """
+    gens = unit_group_components(m)
+    orders = [n for *_, n in gens]
+    top = math.lcm(*orders)
+    logs = {}
+    for xs in product(*(range(n) for n in orders)):
+        a = 1 % m
+        for (_, _, g, _), x in zip(gens, xs):
+            a = a * pow(g, x, m) % m
+        logs[a] = [x * (top // n) for x, n in zip(xs, orders)]
+    assert len(logs) == euler_phi(m)
+    kernels = [(f, [a for a in logs if a % f == 1 % f]) for f in divisors(m)]
+    local_gens = {f: unit_group_components(f) for f in divisors(m)}
+    out = []
+    for es in product(*(range(n) for n in orders)):
+        values = {a: sum(map(mul, es, xs)) % top for a, xs in logs.items()}
+        f = next(f for f, kernel in kernels if not any(values[a] for a in kernel))
+        table = {}
+        for a, v in values.items():
+            assert table.setdefault(a % f if f > 1 else 1, v) == v
+        by_p = {}
+        for p, pk, g, n in local_gens[f]:
+            by_p.setdefault((p, pk), []).append(table[g] * n // top)
+        comps = tuple(
+            (p, next(k for k in range(1, pk.bit_length()) if p**k == pk), tuple(exps))
+            for (p, pk), exps in by_p.items()
+        )
+        out.append((f, comps, tuple(sorted(table.items()))))
+    return top, out
+
+
 class TestCharacters:
+    def test_characters_mod_match_the_definitions(self):
+        # the trivial character, then the primitive characters whose
+        # conductor divides m by (conductor, components), each with the
+        # reference's angle table; _cyclotomic_zeta multiplies in list
+        # order, so the order is pinned too
+        for m in range(1, 201):
+            top, expected = _reference_characters(m)
+            found = [
+                (
+                    chi.conductor,
+                    chi.components,
+                    tuple((a, top // t.denominator * t.numerator) for a, t in chi.angles()),
+                )
+                for chi in characters_mod(m)
+            ]
+            assert found == sorted(expected), m
+
     def test_counts(self):
         assert len(characters_mod(1)) == 1
         assert len(characters_mod(5)) == 4

@@ -498,6 +498,20 @@ class TestCounting:
         assert time.monotonic() - start < 1
         assert peak < 2**20
 
+    def test_known_builds_are_charged_before_the_sieve(self):
+        # C2 to 5*10^7 sieves to exactly the default budget; its one maximal
+        # subgroup and the build at p = 2 are charged before that sieve runs
+        tracemalloc.start()
+        start = time.monotonic()
+        try:
+            with pytest.raises(BudgetExceededError, match="^enumeration exceeded 50000000 nodes$"):
+                count_surjections(make_group([2]), 5 * 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.monotonic() - start < 1
+        assert peak < 5 * 2**20
+
     def test_local_types_count_against_the_budget(self):
         # C2^3 to 16 sieves to 16^(1/4) = 2, so 2 nodes; its 7 maximal
         # subgroups cost 7, and the one build, at p = 2, reads its 64 homs
@@ -524,21 +538,18 @@ class TestCounting:
 
     def test_cyclic_count_builds_no_pool(self, monkeypatch):
         # the walk reads its local types from the homs into G, never one
-        # character per character counted
+        # character per character counted; every character is built through
+        # the constructor, so counting its calls counts them all
         built = Counter()
-        post_init = DirichletCharacter.__post_init__
-        assembled = oracle._assembled
+        init = DirichletCharacter.__init__
 
-        def counted_post_init(chi):
-            built["post_init"] += 1
-            post_init(chi)
+        def counted_init(chi, *args):
+            built["init"] += 1
+            init(chi, *args)
 
-        def counted_assembled(*args):
-            built["assembled"] += 1
-            return assembled(*args)
-
-        monkeypatch.setattr(DirichletCharacter, "__post_init__", counted_post_init)
-        monkeypatch.setattr(oracle, "_assembled", counted_assembled)
+        monkeypatch.setattr(DirichletCharacter, "__init__", counted_init)
+        DirichletCharacter(())
+        assert built.pop("init") == 1  # the counter sees a construction
         assert count_surjections(make_group([2]), 10**5).surjections == 60786
         assert count_surjections(make_group([2, 2]), 10**5).surjections == 1458
         assert count_surjections(make_group([2, 4]), 10**8).surjections == 48

@@ -3,9 +3,12 @@ benchmark's job runner run end to end and print their JSON."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -14,15 +17,19 @@ def _run(tmp_path, script: str, *args: str, folder: str = "scripts") -> str:
     return _python(tmp_path, str(ROOT / folder / script), *args)
 
 
-def _python(tmp_path, *args: str, returncode: int = 0) -> str:
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _python(tmp_path, *args: str, returncode: int = 0) -> str:
     done = subprocess.run(
         [sys.executable, *args],
         cwd=tmp_path,
-        env=env,
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=300,
@@ -48,6 +55,24 @@ def test_run_scan(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "n,a,d2,theta,flag_i,flag_ii,case"
     assert len(lines) == summary["composite_count"] + 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_quietly(tmp_path):
+    # a reader that stops early (| head -2) closes the pipe: the process ends
+    # as a tool killed by SIGPIPE does, not with a usage error on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "malle_lab.cli", "coeffs", "C2", "--max", "100000"],
+        cwd=tmp_path,
+        env=_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"n,count\r\n"  # the csv module ends rows with CRLF
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=300)
+    assert proc.returncode == -signal.SIGPIPE
+    assert stderr == b""
 
 
 def test_run_scan_rejects_jobs_below_one(tmp_path):
