@@ -119,7 +119,7 @@ def _cmd_scan(args) -> dict:
     report = scan_cyclic(args.max, model, jobs=jobs)
     payload = report.summary()
     if args.out:
-        write_scan_csv(args.out, report.rows)
+        write_scan_csv(args.out, report.table)
         payload["csv"] = args.out
     return payload
 
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "scan-cyclic",
-        help="scan composite n for lower order terms, --max up to 2e5 (1.2-1.8 s, 80-83 MiB there)",
+        help="scan composite n for lower order terms, --max up to 2e5 (0.8-1.4 s, 78-80 MiB there)",
     )
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--model", default="soehne")
@@ -279,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes (default: one per CPU this process may run on; on 2 cores "
-        "that is slower than --jobs 1 at --max 25000, 0.30-0.33 s against 0.25-0.29 s, "
-        "and faster at --max 2e5, a median 1.28 s against 1.56 s)",
+        "that is slower than --jobs 1 up to --max 1e5, a median 0.28 s against 0.25 s "
+        "at 25000, and faster from 1.5e5, a median 0.99 s against 1.13 s at 2e5)",
     )
     p.set_defaults(func=_cmd_scan)
 

@@ -7,21 +7,24 @@ The bound for the error exponent theta has the shape
 minimized over the finitely many candidates D in the weight spectrum plus
 D = 2a.  The subconvexity model supplies mu: degree/4 for convexity,
 degree/6 for the known unconditional bound, 0 under Lindelof, where the
-degree of the orbit L-function is |orbit| * [K:Q].  One kernel evaluates
-it, on ints for every preset model, in ``theta_best`` as in the cyclic scan;
-no floats.  A preset's 2 mu is a slope per element, so its classes come from
-the element orders, scaled by the slope's denominator; only custom mu tables
-and custom weights walk the orbits, and only they run the kernel on
-Fractions.  ``theta_best`` builds Fractions for its result alone.
+degree of the orbit L-function is |orbit| * [K:Q].  One formula,
+``_bound_at``, evaluates it from running sums, on ints for every preset
+model; no floats.  A preset's 2 mu is a slope per element, so its classes
+come from the element orders, scaled by the slope's denominator; only custom
+mu tables and custom weights walk the orbits, and only they run the formula
+on Fractions.  ``theta_best`` builds Fractions for its result alone.
 
 theta(D) is unimodal: past weight w_j its slope has the sign of S_j - a(k + C_j),
 C_j and S_j summing c and c w up to w_j.  That grows by c (w - a) >= 0 per class,
-so ``_theta_min`` stops at the first w_j with S_j >= a(k + C_j), or at 2a.
+so the cyclic scan walks the divisors of n only up to the first w_j with
+S_j >= a(k + C_j), or takes 2a.  ``theta_best`` evaluates every candidate,
+as it returns them all, and takes the first minimum of that table.
 
 The scan's block kernel makes each row a plain tuple of ints, a bool and the
 case name.  Pool workers, forked with the phi table already in memory, send
-those tuples back, and the parent builds every ScanRow once, so no ScanRow
-is pickled.
+those tuples back; the report keeps them as its ``table``, and the CSV is
+written from it.  ``ScanReport.rows`` wraps them in ScanRows only when it is
+first read, so neither the workers nor the CLI build a ScanRow.
 """
 
 from __future__ import annotations
@@ -145,27 +148,8 @@ def _bound_at(k, a, C, S, D):
     return D, k * a + T, a * (k * D + T)
 
 
-def _theta_min(a, classes, k):
-    """(D, numerator, denominator) at the first minimum of the bound over the candidates.
-
-    classes iterates (w, c_w) by ascending weight from w = a, with c_w = k *
-    (sum of 2 mu over the orbits of weight w) >= 0 and k > 0; the candidates
-    are the weights below 2a, and 2a.  A lazy iterable is read only up to
-    the turning point.
-    """
-    C = S = 0
-    for w, c in classes:
-        if w >= 2 * a:
-            break
-        if S + c * w >= a * (k + C + c):  # the slope past w is >= 0
-            return _bound_at(k, a, C, S, w)
-        C += c
-        S += c * w
-    return _bound_at(k, a, C, S, 2 * a)
-
-
 def _candidate_table(classes, k):
-    """(D, numerator, denominator) at every candidate D, from the same running sums."""
+    """(D, numerator, denominator) at every candidate D, by ``_bound_at`` from running sums."""
     a = classes[0][0]
     C = S = 0
     table = []
@@ -233,7 +217,6 @@ def theta_best(
     """Minimize the bound over the candidate shifts (spectrum plus 2a)."""
     classes, k = _orbit_classes(G, action, wt, model)
     a = classes[0][0]
-    witness, num, den = _theta_min(a, classes, k)
     table = tuple((Fraction(D), Fraction(n, d)) for D, n, d in _candidate_table(classes, k))
     values = [v for _, v in table]
     # convex in D: no interior strict local maximum among the candidates
@@ -241,10 +224,10 @@ def theta_best(
         assert not (
             values[i] > values[i - 1] and values[i] > values[i + 1]
         ), "candidate table has an interior local max"
-    bound = Fraction(num, den)
-    assert bound == min(values)
+    bound = min(values)
     assert bound * a < 1, "bound does not save over the main term"
-    return ThetaResult(bound, Fraction(witness), model.kind, table)
+    witness = table[values.index(bound)][0]  # the first minimum
+    return ThetaResult(bound, witness, model.kind, table)
 
 
 def theta_ram(G: AbelianGroup, deg_k: int = 1) -> Fraction:
@@ -282,14 +265,22 @@ class ScanRow(NamedTuple):
 @dataclass(frozen=True)
 class ScanReport:
     """The scan's rows, with the criterion (i) rows tallied by n mod 12 and the
-    criterion (ii) rows by non-vanishing case."""
+    criterion (ii) rows by non-vanishing case.
+
+    ``table`` holds each row as the plain tuple of the ScanRow fields;
+    ``rows`` wraps them in ScanRows on its first access.
+    """
 
     n_max: int
     model_kind: str
     composite_count: int
     flag_ii_by_case: dict[str, int]
     flag_i_by_n_mod_12: dict[int, int]
-    rows: tuple[ScanRow, ...]
+    table: tuple[tuple, ...]
+
+    @cached_property
+    def rows(self) -> tuple[ScanRow, ...]:
+        return tuple(map(ScanRow._make, self.table))
 
     @property
     def count_i(self) -> int:
@@ -300,12 +291,13 @@ class ScanReport:
         return sum(self.flag_ii_by_case.values())
 
     @property
-    def fraction_i(self) -> float:
-        return self.count_i / self.composite_count
+    def fraction_i(self) -> float | None:
+        """The share of composite n flagged by criterion (i), None if there are none."""
+        return self.count_i / self.composite_count if self.composite_count else None
 
     @property
-    def fraction_ii(self) -> float:
-        return self.count_ii / self.composite_count
+    def fraction_ii(self) -> float | None:
+        return self.count_ii / self.composite_count if self.composite_count else None
 
     def summary(self) -> dict:
         return {
@@ -358,7 +350,19 @@ def _scan_block(lo: int, hi: int, cn: int, cd: int, phi: list[int]) -> list[tupl
         divs = low + [n // e for e in reversed(low) if e * e != n]
         divs.append(n)
         a, d2 = n - n // divs[0], n - n // divs[1]
-        _, num, den = _theta_min(a, ((n - n // e, cn * phi[e]) for e in divs), cd)
+        # walk to the turning point; every weight n - n/e is below n <= 2a,
+        # so D = 2a only when no class turns the slope
+        D = 2 * a
+        C = S = 0
+        for e in divs:
+            w = n - n // e
+            c = cn * phi[e]
+            if S + c * w >= a * (cd + C + c):  # the slope past w is >= 0
+                D = w
+                break
+            C += c
+            S += c * w
+        _, num, den = _bound_at(cd, a, C, S, D)
         g = math.gcd(num, den)
         num //= g
         den //= g
@@ -417,20 +421,20 @@ def scan_cyclic(
     step = max(256, min(SCAN_BLOCK, (n_max - 4) // (4 * jobs) + 1))
     blocks = [(lo, min(lo + step, n_max), cn, cd) for lo in range(4, n_max, step)]
     workers = min(jobs, len(blocks))
-    rows: list[ScanRow] = []  # wrapped block by block: no second copy of every row
+    rows: list[tuple] = []
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(workers, _share_phi, (phi,)) as pool:
             for part in pool.imap(_scan_block_packed, blocks):
-                rows += map(ScanRow._make, part)
+                rows += part
     else:
         for block in blocks:
-            rows += map(ScanRow._make, _scan_block(*block, phi))
-    flagged = [r for r in rows if r.flag_i]  # criterion (ii) rows are among them
-    by_case = Counter(r.case for r in flagged)
+            rows += _scan_block(*block, phi)
+    flagged = [r for r in rows if r[5]]  # flag_i; criterion (ii) rows are among them
+    by_case = Counter(r[6] for r in flagged)
     del by_case["none"]
-    by_n_mod_12 = Counter(r.n % 12 for r in flagged)
+    by_n_mod_12 = Counter(r[0] % 12 for r in flagged)
     return ScanReport(n_max, model.kind, len(rows), dict(by_case), dict(by_n_mod_12), tuple(rows))
 
 
@@ -448,7 +452,10 @@ def write_scan_csv(path: str, rows) -> None:
     tails = _CSV_TAILS
     with open(path, "w", newline="") as handle:
         handle.write("n,a,d2,theta,flag_i,flag_ii,case\r\n")
-        handle.writelines("%d,%d,%d,%d/%d" % row[:5] + tails[row[5:]] for row in rows)
+        handle.writelines(
+            f"{n},{a},{d2},{num}/{den}{tails[flag_i, case]}"
+            for n, a, d2, num, den, flag_i, case in rows
+        )
 
 
 # -- dual Selmer size ----------------------------------------------------------

@@ -227,6 +227,30 @@ class TestScan:
             writer.writerow([r.n, r.a, r.d2, str(r.theta), int(r.flag_i), int(r.flag_ii), r.case])
         assert out.read_bytes() == expected.getvalue().encode()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_csv_builds_no_scan_row(self, tmp_path, monkeypatch, jobs):
+        # the CSV comes from the report's plain tuples; the forked workers
+        # inherit the patch, so neither they nor the parent build a ScanRow
+        expected = tmp_path / "expected.csv"
+        theta.write_scan_csv(str(expected), theta.scan_cyclic(3000).rows)
+
+        def no_row(*args, **kwargs):
+            raise AssertionError("a ScanRow was built")
+
+        monkeypatch.setattr(theta.ScanRow, "_make", no_row)
+        monkeypatch.setattr(theta.ScanRow, "__new__", no_row)
+        out = tmp_path / "scan.csv"
+        payload(["scan-cyclic", "--max", "3000", "--out", str(out), "--jobs", jobs])
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_empty_scan_exits_zero(self, tmp_path):
+        # --max 4 holds no composite n: null shares and a CSV of the header alone
+        out = tmp_path / "scan.csv"
+        doc = payload(["scan-cyclic", "--max", "4", "--out", str(out), "--jobs", "1"])
+        assert doc["composite_count"] == doc["count_i"] == doc["count_ii"] == 0
+        assert doc["fraction_i"] is None and doc["fraction_ii"] is None
+        assert out.read_bytes() == b"n,a,d2,theta,flag_i,flag_ii,case\r\n"
+
     def test_jobs_below_one_is_usage_error(self):
         # --jobs -2 ran serially
         for jobs in ("0", "-2"):
