@@ -21,16 +21,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .numerics import divisors, factorize
+from .numerics import BudgetExceededError, divisors, factorize
 
 ENUMERATION_CAP = 10_000
 SIEVE_TERMS_CAP = 100_000
 
 Element = tuple[int, ...]
-
-
-class BudgetExceededError(RuntimeError):
-    """A computation would pass one of its caps or budgets; the CLI exits 3."""
 
 
 @dataclass(frozen=True)
@@ -226,7 +222,7 @@ def element_orders(G: AbelianGroup) -> Histogram:
 
     It is counted: prod gcd(e, d_i) of the elements have g^e = 1.
     """
-    _check_cap(G)  # guards factorize(exp G), slow on a large prime
+    _check_cap(G)  # the series rows built from it have no cost bound of their own
     counts: dict[int, int] = {}
     for e in divisors(G.exponent):
         fixed = math.prod(math.gcd(e, d) for d in G.invariant_factors)

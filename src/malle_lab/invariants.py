@@ -10,9 +10,11 @@ for when lower order terms provably survive the surjection sieve; the cases
 need only the element orders, so they are found without enumerating G.
 
 Under unit actions, the plain one or ``units=``, the orbits are counted, not
-enumerated: ``cyclotomic_orbits`` reads them off an element-order histogram
-(of G or of a sieve row) for ``invariant_summary``, the series and ``bbar_d``.
-``orbits`` enumerates, for automorphism twists and element-keyed tables.
+listed: ``cyclotomic_orbits`` reads one triple (order, index, number of
+orbits) per element order off a histogram (of G or of a sieve row), and
+``invariant_summary``, the series and ``bbar_d`` apply each triple once with
+its multiplicity.  ``orbits`` enumerates, for automorphism twists and
+element-keyed tables.
 """
 
 from __future__ import annotations
@@ -260,19 +262,17 @@ def _orbit_size(e: int, units: tuple[int, ...] | None) -> int:
 @lru_cache(maxsize=None)
 def cyclotomic_orbits(
     G: AbelianGroup, orders: Histogram, units: tuple[int, ...] | None = None
-) -> tuple[tuple[int, int], ...]:
-    """(order e, index n - n/e in G) once per orbit of the nonidentity
-    elements counted by the histogram ``orders`` (of G or of a subgroup),
-    under t -> t^u for u in the group U the units generate (every unit if None).
+) -> tuple[tuple[int, int, int], ...]:
+    """(order e, index n - n/e in G, number of orbits) per order e > 1 in the
+    histogram ``orders`` (of G or of a subgroup), the orbits being those of
+    t -> t^u for u in the group U the units generate (every unit if None).
 
     u fixes an element of order e only when u = 1 mod e, so the k_e elements
     of order e form k_e / |U mod e| orbits; they come by ascending order,
     which is ascending index.
     """
     n = G.order
-    return tuple(
-        (e, n - n // e) for e, k in orders if e > 1 for _ in range(k // _orbit_size(e, units))
-    )
+    return tuple((e, n - n // e, k // _orbit_size(e, units)) for e, k in orders if e > 1)
 
 
 @lru_cache(maxsize=None)
@@ -294,14 +294,6 @@ def _frattini_exponent(G: AbelianGroup) -> int:
     return m
 
 
-@lru_cache(maxsize=None)
-def _orbit_counts(G: AbelianGroup, orders: Histogram) -> tuple[tuple[int, int, int], ...]:
-    """(order e, index n - n/e in G, number of orbits) by ascending e, so by
-    ascending index, over the cyclotomic orbits of the nonidentity elements
-    counted by ``orders``."""
-    return tuple((e, ind, k) for (e, ind), k in Counter(cyclotomic_orbits(G, orders, None)).items())
-
-
 def _type_bbar(G: AbelianGroup, d: int, zeta_ord_hook: ZetaOrderHook, orders: Histogram) -> int:
     """bbar at s = 1/d of a subgroup of G with element-order histogram ``orders``.
 
@@ -312,7 +304,7 @@ def _type_bbar(G: AbelianGroup, d: int, zeta_ord_hook: ZetaOrderHook, orders: Hi
     """
     if d not in _index_spectrum(G):
         raise ValueError(f"{d} is not in the index spectrum of {G}")
-    counts = _orbit_counts(G, orders)
+    counts = cyclotomic_orbits(G, orders)
     bbar = sum(k for _, ind, k in counts if ind == d)
     if not bbar:
         return 0
@@ -396,8 +388,9 @@ def invariant_summary(
     for u in units or ():
         if math.gcd(u, G.exponent) != 1:
             raise ValueError(f"{u % G.exponent} is not a unit mod {G.exponent}")
-    entries = cyclotomic_orbits(G, element_orders(G), None if units is None else tuple(units))
-    counts = Counter(ind if ordering == "disc" else 1 for _, ind in entries)
+    counts: Counter = Counter()
+    for _, ind, k in cyclotomic_orbits(G, element_orders(G), None if units is None else tuple(units)):
+        counts[ind if ordering == "disc" else 1] += k
     spectrum = sorted(counts)
     summary = {
         "group": str(G),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from functools import lru_cache
 from itertools import compress
 
@@ -67,38 +68,103 @@ def integer_root(x: int, k: int) -> int:
         r = y
 
 
+class BudgetExceededError(RuntimeError):
+    """A computation would pass one of its caps or budgets; the CLI exits 3."""
+
+
+TRIAL_PRIMES = tuple(primes_up_to(1000))  # factorize divides by these first
+# Miller-Rabin to these bases is exact below the limit (Sorenson and Webster)
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
 
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization as ((p, e), ...) with p ascending."""
+    """Prime factorization as ((p, e), ...) with p ascending.
+
+    Trial division by ``TRIAL_PRIMES`` leaves a cofactor with no prime
+    factor below 1000; below 1000^2 it is prime, and otherwise Miller-Rabin
+    tells prime from composite and Pollard-Brent splits the composites.
+    Both are deterministic, and the test is exact only below
+    MILLER_RABIN_LIMIT (about 3.3e24), so a larger cofactor raises
+    BudgetExceededError.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
-    out = []
+    out: Counter = Counter()
     m = n
-    for p in (2, 3):
-        e = 0
+    for p in TRIAL_PRIMES:
+        if p * p > m:
+            break
         while m % p == 0:
             m //= p
-            e += 1
-        if e:
-            out.append((p, e))
-    f = 5
-    while f * f <= m:
-        for q in (f, f + 2):
-            e = 0
-            while m % q == 0:
-                m //= q
-                e += 1
-            if e:
-                out.append((q, e))
-        f += 6
-    if m > 1:
-        out.append((m, 1))
-    out.sort()
-    return tuple(out)
+            out[p] += 1
+    if m >= MILLER_RABIN_LIMIT:
+        raise BudgetExceededError(
+            f"{n} has a cofactor {m} with no prime factor below 1000, past the "
+            f"factorization limit {MILLER_RABIN_LIMIT}"
+        )
+    pending = [m] if m > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < 1000**2 or _miller_rabin(m):
+            out[m] += 1
+        else:
+            d = _pollard_brent(m)
+            pending += [d, m // d]
+    return tuple(sorted(out.items()))
+
+
+def _miller_rabin(n: int) -> bool:
+    """Whether the odd n > 41 is a strong probable prime to every base of
+    MILLER_RABIN_BASES: exactly whether it is prime, for n below the limit."""
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^r with d odd
+    d = (n - 1) >> r
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A factor 1 < d < n of the composite n, which has no prime factor
+    below 1000: Brent's cycle search on x -> x^2 + c from x = 2, for
+    c = 1, 2, ... until one splits n, with the gcds taken over batches of
+    128 steps."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: step its values one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise AssertionError(f"Pollard-Brent found no factor of {n}")
 
 
 @lru_cache(maxsize=None)

@@ -15,10 +15,10 @@ to surjections, and the sign checks for lower order terms.  All four run
 their Euler products through one prime loop, ``_euler_products``, with one
 row per element-order histogram of the subgroup restricting inertia: a
 row's factors depend on the subgroup only through it, and its zeta
-corrections are cyclotomic orbits, counted from a histogram by
-``invariants.cyclotomic_orbits``.  So the sieve has one row per
-``groups.sieve_types`` entry, a histogram with its summed Moebius weight:
-7 rows for the 2,825 sieve subgroups of C2^6.
+corrections are the triples (m, ind, k) that ``invariants.cyclotomic_orbits``
+counts from it, each applied once with its number k of orbits.  So the sieve
+has one row per ``groups.sieve_types`` entry, a histogram with its summed
+Moebius weight: 7 rows for the 2,825 sieve subgroups of C2^6.
 
 A row's factor at p is an integer polynomial in u = p^-s that depends on p
 only through p mod exp(G): a prime dividing |G| is alone in its class, and
@@ -186,8 +186,8 @@ class ZetaFactorization:
         return sum(1 for _, a in self.entries if a == d)
 
 
-def _sieve_entries(G: AbelianGroup) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The orbit entries of G and its least index a, for the sieve's callers."""
+def _sieve_entries(G: AbelianGroup) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """The counted orbits (m, ind, k) of G and its least index a."""
     entries = cyclotomic_orbits(G, element_orders(G))
     if not entries:
         raise ValueError("the surjection sieve is undefined for the trivial group")
@@ -195,7 +195,8 @@ def _sieve_entries(G: AbelianGroup) -> tuple[tuple[tuple[int, int], ...], int]:
 
 
 def zeta_factorization(G: AbelianGroup) -> ZetaFactorization:
-    return ZetaFactorization(G, cyclotomic_orbits(G, element_orders(G)))
+    counted = cyclotomic_orbits(G, element_orders(G))
+    return ZetaFactorization(G, tuple((m, a) for m, a, k in counted for _ in range(k)))
 
 
 @lru_cache(maxsize=None)
@@ -258,22 +259,22 @@ def _class_key(G: AbelianGroup, p: int) -> int:
 def _row_polynomial(G: AbelianGroup, orders: Histogram, corrections, p: int) -> LocalFactor:
     """A row's Euler factor at p as an exact integer polynomial in u = p^(-s).
 
-    The polynomial (1 + sum c u^a) * prod (1 - u^(ind f_p))^(g_p) is
+    The polynomial (1 + sum c u^a) * prod (1 - u^(ind f_p))^(g_p k), each
+    correction (m, ind, k) expanded once by the binomial theorem, is
     returned as a ``LocalFactor`` at p; it is the factor of every prime of
     p's class (``_class_key``).
     """
-    coeffs = [1]
-    for c, a in restricted_local_factor(G, orders, p).terms:
-        coeffs += [0] * (a + 1 - len(coeffs))
-        coeffs[a] += c
-    for m, ind in corrections:
+    poly = {0: 1, **{a: c for c, a in restricted_local_factor(G, orders, p).terms}}
+    for m, ind, k in corrections:
         f_p, g_p = zeta_local_data(m, p)
-        n = ind * f_p
-        for _ in range(g_p):
-            coeffs += [0] * n
-            for k in range(len(coeffs) - 1, n - 1, -1):
-                coeffs[k] -= coeffs[k - n]
-    return LocalFactor(p, tuple((c, k) for k, c in enumerate(coeffs) if c and k))
+        n, power = ind * f_p, g_p * k
+        binomial = [(j * n, (-1) ** j * math.comb(power, j)) for j in range(power + 1)]
+        product: Counter = Counter()
+        for a, c in poly.items():
+            for b, d in binomial:
+                product[a + b] += c * d
+        poly = product
+    return LocalFactor(p, tuple((c, a) for a, c in sorted(poly.items()) if c and a))
 
 
 def _class_plan(G: AbelianGroup, rows, p: int):
@@ -291,9 +292,9 @@ def _euler_products(
 
     A row is (orders, corrections).  Its factor at p is the local factor
     with inertia restricted to a subgroup of element-order histogram orders
-    at u = p^(-s), times (1 - u^(ind f_p))^(g_p)
-    for each correction (m, ind), where p has residue degree f_p and g_p
-    primes in Q(zeta_m): the Euler factor at p of 1/zeta_{Q(zeta_m)}(ind s).
+    at u = p^(-s), times (1 - u^(ind f_p))^(g_p k) for each correction
+    (m, ind, k), where p has residue degree f_p and g_p primes in
+    Q(zeta_m): the Euler factor at p of 1/zeta_{Q(zeta_m)}(ind s)^k.
     That factor is an integer polynomial in u which depends on p only
     through its class p mod exp(G) (``_class_key``): a prime dividing |G|
     is alone in its class, and for the others p mod exp(G) fixes the tame
@@ -311,10 +312,10 @@ def _euler_products(
     Every truncation rounds down by less than one unit of 2^-W, so u^a is
     short by less than 2a - 1 units and a polynomial sum c u^a is off by
     less than e = sum |c| (2a - 1) units; a factor f adds a relative error
-    of e / f and each product step one of 2 units.  The bound a row states
-    at a mark is twice the sum of these over its primes (covering the
-    higher orders while that sum is below 1/4) plus 2^-mp.prec for the
-    rounding of the product to an mpf.
+    of e / f (inf for f <= 0 and from 2^1020 on) and each product step one
+    of 2 units.  The bound a row states at a mark is twice the sum of these
+    over its primes (covering the higher orders while that sum is below
+    1/4) plus 2^-mp.prec for the rounding of the product to an mpf.
 
     Yields (mark, p, products) at each checkpoint mark, p being the prime
     that reached the mark or None once the primes ran out; the products are
@@ -362,7 +363,7 @@ def _euler_products(
             factor = one
             for c, a in terms:
                 factor += c * powers[a]
-            errors[j] += scaled_e / factor if factor > 0 else math.inf
+            errors[j] += scaled_e / factor if scaled_e >> 1020 < factor else math.inf
             for i in indices:
                 m = mants[i] * factor
                 shift = m.bit_length() - W
@@ -412,7 +413,9 @@ def euler_product_truncated(
     """Product of local factors over p <= p_max at real s.
 
     mode 'full' needs s > 1/a; mode 'residual' divides out the zeta Euler
-    factors orbit by orbit and needs only s > 1/(2a).
+    factors, each correction once with its multiplicity, and needs only
+    s > 1/(2a).  A checkpoint stating a relative bound of 1 or more raises
+    BudgetExceededError.
     """
     s = Fraction(s)
     orders = element_orders(G)
@@ -425,15 +428,12 @@ def euler_product_truncated(
     if mode not in ("full", "residual"):
         raise ValueError(f"unknown mode {mode!r}")
     rows = [(orders, entries if mode == "residual" else ())]
-    factor_log: list = []
+    factor_log, bounds, checkpoints = [], [], []
     with working_precision():
-        checkpoints = tuple(
-            (p or p_max, prods[0])
-            for _, p, prods in _euler_products(G, s, p_max, rows, factor_log)
-        )
-    return EulerProductState(
-        G, s, p_max, mode, checkpoints[-1][1], checkpoints, tuple(factor_log)
-    )
+        for mark, p, (prod,) in _euler_products(G, s, p_max, rows, factor_log, bounds):
+            _check_digits(bounds[-1][0], mark)
+            checkpoints.append((p or p_max, prod))
+    return EulerProductState(G, s, p_max, mode, prod, tuple(checkpoints), tuple(factor_log))
 
 
 # -- Dirichlet coefficients --------------------------------------------------
@@ -459,7 +459,7 @@ def series_coefficients(
     roots = [
         integer_root(n_max, ind)
         for orders, _ in rows
-        for _, ind in cyclotomic_orbits(G, orders)[:1]
+        for _, ind, _ in cyclotomic_orbits(G, orders)[:1]
     ]
     primes = primes_up_to(max(roots, default=1))
     total = [0] * (n_max + 1)
@@ -546,15 +546,20 @@ def _sieve_sums(G: AbelianGroup, s: Fraction, p_max: int, parts):
             if abs(value) > mp.fsum(abs(t) * (error + unit) for _, t, error in own):
                 sums.append(value)
                 continue
-            worst = max((error for weight, _, error in own if weight), default=0)
-            if worst >= 1:
-                raise BudgetExceededError(
-                    f"a sieve row states a relative bound of {mp.nstr(worst, 3)} at p <= {mark} "
-                    f"with {mp.dps} working digits; raise MALLE_LAB_PRECISION"
-                )
+            _check_digits(max((error for weight, _, error in own if weight), default=0), mark)
             sums.append(mp.zero)
         out.append((mark, sums, prods))
     return out
+
+
+def _check_digits(bound, mark: int) -> None:
+    """Raise BudgetExceededError for a row stating a relative bound of 1 or
+    more at mark: none of its digits is known."""
+    if bound >= 1:
+        raise BudgetExceededError(
+            f"a row states a relative bound of {mp.nstr(bound, 3)} at p <= {mark} "
+            f"with {mp.dps} working digits; raise MALLE_LAB_PRECISION"
+        )
 
 
 def sieve_to_surjective(
@@ -620,19 +625,19 @@ def residue_main_term(G: AbelianGroup, p_max: int) -> MainTermEstimate:
     minimal-index orbits, and the zeta values of the larger orbits.
     """
     entries, a = _sieve_entries(G)
-    b = sum(1 for _, ind in entries if ind == a)
+    b = sum(k for _, ind, k in entries if ind == a)
     with working_precision():
         rows = []
         for orders, mu in sieve_types(G):
             orbits_in = cyclotomic_orbits(G, orders)
-            if sum(1 for _, ind in orbits_in if ind == a) < b:
+            if sum(k for _, ind, k in orbits_in if ind == a) < b:
                 continue
             zeta_part = mp.mpf(1)
-            for m, ind in orbits_in:
+            for m, ind, k in orbits_in:
                 if ind == a:
-                    zeta_part *= dedekind_zeta_residue(m) / a
+                    zeta_part *= (dedekind_zeta_residue(m) / a) ** k
                 else:
-                    zeta_part *= dedekind_zeta_value(m, Fraction(ind, a))
+                    zeta_part *= dedekind_zeta_value(m, Fraction(ind, a)) ** k
             rows.append((orders, orbits_in, mu * zeta_part))
         checkpoints = tuple(
             (mark, value * a / math.factorial(b - 1))
@@ -692,7 +697,7 @@ def nonvanishing_limit(G: AbelianGroup, d: int, p_max: int) -> NonvanishingRepor
 
     def rows(types, lower):
         """The types' rows with the zeta factors of lower < ind < d divided
-        out, one cyclotomic zeta factor per orbit."""
+        out, each counted correction (m, ind, k) once."""
         corrections = tuple(e for e in entries if lower < e[1] < d)
         return [(orders, corrections, mu) for orders, mu in types]
 

@@ -207,7 +207,7 @@ def residue_main_term(G: AbelianGroup, p_max: int, dps: int):
                     zeta_part *= dedekind_zeta_residue(o.element_order) / a
                 else:
                     zeta_part *= dedekind_zeta_value(o.element_order, Fraction(int(o.weight), a))
-            orbit_entries = tuple((o.element_order, int(o.weight)) for o in orbits_in)
+            orbit_entries = tuple((o.element_order, int(o.weight), 1) for o in orbits_in)
             rows.append((histogram(H), orbit_entries))
             weights.append((mu, zeta_part))
         return tuple(
@@ -222,7 +222,7 @@ def nonvanishing_limit(G: AbelianGroup, d: int, p_max: int, dps: int):
     case = nonvanishing_case(G, d)
     orbs = _disc_orbits(G)
     a = int(min(o.weight for o in orbs))
-    entries = tuple((o.element_order, int(o.weight)) for o in orbs)
+    entries = tuple((o.element_order, int(o.weight), 1) for o in orbs)
     if case == "case_iv":
         parts = [(((full_subgroup(G), 1),), 0, d)]
     elif case == "case_iii":

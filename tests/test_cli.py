@@ -137,6 +137,13 @@ class TestExitCodes:
         assert payload(["count", "C1000000000039", "--X", "10"])["fields"] == 0
         assert time.perf_counter() - start < 5
 
+    def test_count_of_a_prime_cyclic_group_near_1e18(self):
+        # trial division of |G| = 10^18 + 3 ran to its root, 10^9, before the
+        # sieve bound (the 10^18-th root of 10) was known
+        start = time.perf_counter()
+        assert payload(["count", "C1000000000000000003", "--X", "10"])["fields"] == 0
+        assert time.perf_counter() - start < 2
+
     def test_count_of_a_large_prime_cyclic_group_under_ram(self):
         # 10,006 nontrivial homs at each of 7 primes, all onto C10007
         assert payload(["count", "C10007", "--X", "1000000", "--ordering", "ram"])["fields"] == 7
@@ -318,6 +325,18 @@ class TestSeriesAndCoeffs:
         assert invoke(["series", "C2", "--s", "2", "--pmax", p_max])[0] == 3
         assert invoke(["sieve-check", "C4", "--d", "3", "--pmax", p_max])[0] == 3
         assert "exceeds the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("group,s,p_max", [
+        ("x".join(["C2"] * 8), "1/200", "300"),  # printed a negative product
+        ("x".join(["C2"] * 7), "1/80", "300"),  # printed 30 digits of noise
+        ("x".join(["C2"] * 10), "1/100", "3"),  # OverflowError in the error sum
+    ])
+    def test_residual_product_without_digits_is_budget_error(self, capsys, group, s, p_max):
+        argv = ["series", group, "--s", s, "--pmax", p_max, "--mode", "residual"]
+        assert invoke(argv)[0] == 3
+        err = capsys.readouterr().err
+        assert err.startswith("budget error: a row states a relative bound of")
+        assert "Traceback" not in err
 
     def test_coeffs_stdout(self):
         code, out = invoke(["coeffs", "C2", "--max", "10", "--surjective"])

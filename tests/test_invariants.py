@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -111,13 +112,15 @@ class TestOrbits:
                 assert o.size == euler_phi(o.element_order)
 
     def test_counted_orbits_match_enumerated(self):
-        # the counted form reads the orbits off the element-order histogram
+        # the counted form reads the orbits off the element-order histogram:
+        # one (order, index, multiplicity) per order, by ascending order
         for G in all_abelian_groups(64):
-            enumerated = sorted(
+            enumerated = Counter(
                 (o.element_order, int(o.weight))
                 for o in nonidentity_orbits(G, GaloisActionSpec.cyclotomic(G), DISC)
             )
-            assert list(cyclotomic_orbits(G, element_orders(G))) == enumerated, G
+            expected = [(e, ind, k) for (e, ind), k in sorted(enumerated.items())]
+            assert list(cyclotomic_orbits(G, element_orders(G))) == expected, G
 
     def test_custom_weight_invariance_enforced(self):
         G = make_group([5])

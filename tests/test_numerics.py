@@ -4,7 +4,10 @@ import time
 from hypothesis import given
 from hypothesis import strategies as st
 
-from malle_lab.numerics import integer_root, primes_up_to
+import pytest
+
+from malle_lab import groups, numerics
+from malle_lab.numerics import BudgetExceededError, factorize, integer_root, primes_up_to
 
 
 @given(st.integers(min_value=0, max_value=2**4000), st.integers(min_value=1, max_value=16))
@@ -55,3 +58,61 @@ def test_primes_up_to_a_million():
     primes = primes_up_to(10**6)
     assert len(primes) == 78_498
     assert primes[-1] == 999_983
+
+
+def _factorize_by_trial_division(n):
+    """The reference: trial division by 2, 3 and every 6k +- 1 up to the root."""
+    out, m = [], n
+    for p in (2, 3):
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if e:
+            out.append((p, e))
+    f = 5
+    while f * f <= m:
+        for q in (f, f + 2):
+            e = 0
+            while m % q == 0:
+                m, e = m // q, e + 1
+            if e:
+                out.append((q, e))
+        f += 6
+    if m > 1:
+        out.append((m, 1))
+    return tuple(sorted(out))
+
+
+def test_factorize_matches_trial_division():
+    uncached = factorize.__wrapped__  # leave the cache as the program fills it
+    for n in range(1, 10**5 + 1):
+        assert uncached(n) == _factorize_by_trial_division(n), n
+
+
+NEAR_1E9 = (999_999_937, 1_000_000_007, 1_000_000_009)
+NEAR_1E12 = (999_999_999_989, 1_000_000_000_039)
+
+
+def test_factorize_products_of_large_primes():
+    # Miller-Rabin tells these primes, and Pollard-Brent splits their
+    # products; the trial division they replace runs to 10^9 on p q near 10^18
+    for p in NEAR_1E9 + NEAR_1E12:
+        assert _factorize_by_trial_division(p) == ((p, 1),)
+        assert factorize(p) == ((p, 1),)
+    a, b, c = NEAR_1E9
+    x, y = NEAR_1E12
+    for parts in ([a, b], [7, a, a], [2, 2, 3, b, c], [a, x], [x, y], [1009, 1013, 1013, y]):
+        n = math.prod(parts)
+        expected = tuple(sorted((p, parts.count(p)) for p in set(parts)))
+        assert factorize(n) == expected, n
+
+
+def test_factorize_past_the_exact_test():
+    # the bases 2..41 decide primality exactly below MILLER_RABIN_LIMIT; a
+    # larger cofactor with no prime factor below 1000 is over budget
+    assert groups.BudgetExceededError is numerics.BudgetExceededError
+    a, b, c = NEAR_1E9
+    assert factorize(8 * a * b) == ((2, 3), (a, 1), (b, 1))
+    with pytest.raises(BudgetExceededError, match="factorization limit"):
+        factorize(a * b * c)
+    assert a * b * c >= numerics.MILLER_RABIN_LIMIT

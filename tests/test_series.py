@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,13 @@ from malle_lab.groups import (
     sieve_types,
 )
 from malle_lab import series
-from malle_lab.invariants import GaloisActionSpec, WeightFn, b_d, weight_spectrum
+from malle_lab.invariants import (
+    GaloisActionSpec,
+    WeightFn,
+    b_d,
+    cyclotomic_orbits,
+    weight_spectrum,
+)
 from malle_lab.lvalues import dedekind_zeta_residue
 from malle_lab.series import (
     DivergenceError,
@@ -268,8 +276,8 @@ class TestEulerProduct:
         p_max = 600  # includes p = 2 and every p | |G|
         for factors in ([3], [4], [6], [2, 2], [2, 4], [2, 2, 2]):
             G = make_group(factors)
-            entries = zeta_factorization(G).entries
-            a = min(ind for _, ind in entries)
+            entries = _counted(zeta_factorization(G).entries)
+            a = min(ind for _, ind, _ in entries)
             rows = [
                 (element_orders(H), corrections)
                 for H, _ in sieve_terms(G)
@@ -283,9 +291,9 @@ class TestEulerProduct:
                         for p in primes_up_to(p_max):
                             u = mp.power(mp.root(p, s.denominator), -s.numerator)
                             factor = restricted_local_factor(G, orders, p).value(s)
-                            for m, ind in corrections:
+                            for m, ind, k in corrections:
                                 f_p, g_p = zeta_local_data(m, p)
-                                factor *= (1 - u ** (ind * f_p)) ** g_p
+                                factor *= (1 - u ** (ind * f_p)) ** (g_p * k)
                             expected *= factor
                         assert abs(prod / expected - 1) < mp.mpf("1e-45"), (str(G), s, orders)
 
@@ -320,6 +328,51 @@ class TestEulerProduct:
             assert zeta_local_data.cache_info().currsize <= bound
 
 
+def _counted(entries):
+    """Listed orbit entries (m, ind) as the prime loop's counted corrections
+    (m, ind, multiplicity)."""
+    return tuple((m, ind, k) for (m, ind), k in Counter(entries).items())
+
+
+def _row_polynomial_per_orbit(G, orders, orbits, p):
+    """The reference row: the local factor times (1 - u^(ind f_p)), g_p
+    times for every orbit (m, ind), each product one pass over a dense list."""
+    coeffs = [1]
+    for c, a in restricted_local_factor(G, orders, p).terms:
+        coeffs += [0] * (a + 1 - len(coeffs))
+        coeffs[a] += c
+    for m, ind in orbits:
+        f_p, g_p = zeta_local_data(m, p)
+        n = ind * f_p
+        for _ in range(g_p):
+            coeffs += [0] * n
+            for k in range(len(coeffs) - 1, n - 1, -1):
+                coeffs[k] -= coeffs[k - n]
+    return tuple((c, k) for k, c in enumerate(coeffs) if c and k)
+
+
+class TestCountedRows:
+    def test_counted_corrections_match_per_orbit_expansion(self):
+        # each (m, ind, k) multiplies in (1 - u^(ind f_p))^(g_p k) once
+        for G in all_abelian_groups(64):
+            for orders, _ in sieve_types(G):
+                counted = cyclotomic_orbits(G, orders)
+                listed = [(m, ind) for m, ind, k in counted for _ in range(k)]
+                for p in (2, 3, 5, 7, 11, 13):
+                    row = series._row_polynomial(G, orders, counted, p)
+                    assert row.terms == _row_polynomial_per_orbit(G, orders, listed, p), (str(G), p)
+
+    def test_many_orbits_make_one_correction(self):
+        # the 1,023 orbits of C2^10 are one triple; one pass per orbit took 35 s
+        G = make_group([2] * 10)
+        orders = element_orders(G)
+        assert cyclotomic_orbits(G, orders) == ((2, 512, 1023),)
+        start = time.perf_counter()
+        for p in (2, 3):
+            series._row_polynomial(G, orders, cyclotomic_orbits(G, orders), p)
+        assert time.perf_counter() - start < 1
+
+
 def _per_prime_products(G, rows, s, p_max):
     """Each row's product as the mpf product of its per-prime factors."""
     out = []
@@ -328,9 +381,9 @@ def _per_prime_products(G, rows, s, p_max):
         for p in primes_up_to(p_max):
             u = mp.power(mp.root(p, s.denominator), -s.numerator)
             factor = restricted_local_factor(G, orders, p).value(s)
-            for m, ind in corrections:
+            for m, ind, k in corrections:
                 f_p, g_p = zeta_local_data(m, p)
-                factor *= (1 - u ** (ind * f_p)) ** g_p
+                factor *= (1 - u ** (ind * f_p)) ** (g_p * k)
             prod *= factor
         out.append(prod)
     return out
@@ -344,7 +397,7 @@ class TestFixedPointKernel:
     @pytest.mark.parametrize("dps", [15, 50, 100])
     def test_within_the_stated_bound(self, dps, q):
         G, p_max, s = make_group([6]), 300, Fraction(1, q)
-        orders, entries = element_orders(G), zeta_factorization(G).entries
+        orders, entries = element_orders(G), _counted(zeta_factorization(G).entries)
         with mp.workdps(30):  # enough copies of 1/zeta(s) to fall below 1e-10 at p = 2
             at_two, copies = restricted_local_factor(G, orders, 2).value(s), 0
             while at_two >= 1e-10:
@@ -352,8 +405,8 @@ class TestFixedPointKernel:
         rows = [
             (orders, ()),  # grows to about 3e17 at q = 16
             (orders, entries),  # the residual product
-            (orders, ((1, 1),) * 6),  # shrinks over the primes
-            (orders, ((1, 1),) * copies),  # below 1e-10 from p = 2 on
+            (orders, ((1, 1, 6),)),  # shrinks over the primes
+            (orders, ((1, 1, copies),)),  # below 1e-10 from p = 2 on
         ]
         with mp.workdps(dps):
             prec, bounds = mp.prec, []
@@ -651,6 +704,27 @@ class TestMainTerm:
             residue_main_term(G, 300)
         monkeypatch.setenv("MALLE_LAB_PRECISION", "120")
         assert mp.nstr(residue_main_term(G, 300).leading, 15) == "4.14954844695731e-539"
+
+
+class TestNoDigitsNoProduct:
+    @pytest.mark.parametrize("factors,s,bound", [
+        ([2] * 8, Fraction(1, 200), r"\+inf at p <= 3"),  # printed -1.6e-175, a negative product
+        ([2] * 7, Fraction(1, 80), r"4.28e\+5 at p <= 3"),  # printed 30 digits of noise
+    ])
+    def test_residual_product_past_its_digits(self, monkeypatch, factors, s, bound):
+        monkeypatch.delenv("MALLE_LAB_PRECISION", raising=False)
+        with pytest.raises(BudgetExceededError, match=f"bound of {bound} with 60 working"):
+            euler_product_truncated(make_group(factors), s, 300, "residual")
+
+    @pytest.mark.parametrize("factors,s", [
+        ([2] * 10, Fraction(1, 600)), ([2] * 9, Fraction(1, 200)), ([3] * 6, Fraction(1, 500)),
+    ])
+    def test_many_orbit_rows_answer_at_once(self, factors, s):
+        # 35 s, 4.9 s and 6.5 s with one pass over the row per orbit
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="raise MALLE_LAB_PRECISION"):
+            euler_product_truncated(make_group(factors), s, 3, "residual")
+        assert time.perf_counter() - start < 1
 
 
 class TestPrecisionVariable:
